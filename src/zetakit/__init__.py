@@ -38,6 +38,7 @@ from .catalog import (
     IdentityDescriptor,
     assembled_sum,
     closed_form,
+    depth_for,
     list_identities,
     partial_sum,
     printed_closed_form,

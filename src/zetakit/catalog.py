@@ -15,9 +15,11 @@ Clausen evaluator rather than checkable scalar identities.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Optional
 
 from .exact import zeta_e_exact, zeta_even_exact
@@ -47,6 +49,9 @@ __all__ = [
     "partial_sum",
     "assembled_sum",
     "tail_bound",
+    "depth_for",
+    "max_terms",
+    "InconclusiveError",
     "STATUSES",
 ]
 
@@ -55,6 +60,7 @@ STATUSES = ("as-printed", "corrected", "representation")
 TermFn = Callable[[Optional[int], int], float]
 ClosedFn = Callable[[Optional[int]], float]
 TailFn = Callable[[Optional[int], int], float]
+TailsFn = Callable[[Optional[int], int], list[float]]
 
 
 @dataclass(frozen=True)
@@ -83,6 +89,7 @@ class IdentityDescriptor:
     closed_fn: ClosedFn | None = None
     printed_closed_fn: ClosedFn | None = None
     tail_fn: TailFn | None = None
+    tails_fn: TailsFn | None = None  # tails_fn(param, N)[i] == tail_fn(param, N + i)
     offset_fn: ClosedFn | None = None  # assembled = offset + scale * series
     scale_fn: ClosedFn | None = None
 
@@ -160,33 +167,34 @@ def _poly_geom_tail(p: Callable[[int], float], ratio: float, major: float) -> Ca
     return tail
 
 
-def _ratio_capped_tail(
+def _ratio_capped_tails(
     term_abs: Callable[[int], float],
     ratio_cap: Callable[[int], float],
     q_star: float,
-) -> Callable[[int], float]:
-    """Bound for binomial-weighted tails: explicit terms until the term-ratio
-    cap falls under q_star, then a geometric closure.
+    N: int,
+) -> list[float]:
+    """Tails for depths N, N+1, ..., M-1 of a binomial-weighted series, in one
+    suffix pass.
+
+    M is the first n > N with a nonzero term whose ratio cap is at or below
+    q_star.  The tail at M-1 is the geometric closure t(M)/(1 - cap(M)); each
+    earlier one adds its next term, tail(n) = |t(n+1)| + tail(n+1).  A float
+    sum of non-negative terms cannot shrink, so the list is non-increasing.
 
     ratio_cap(n) must bound |t(j+1)/t(j)| for every j >= n with positive
     terms, and be nonincreasing in n; both hold for the binomial families.
     """
-
-    def tail(N: int) -> float:
-        total = 0.0
-        n = N + 1
-        while True:
-            t = term_abs(n)
-            if t == 0.0:
-                n += 1
-                continue
+    terms = []
+    n = N + 1
+    while True:
+        t = term_abs(n)
+        if t != 0.0:
             cap = ratio_cap(n)
             if cap <= q_star:
-                return total + t / (1.0 - cap)
-            total += t
-            n += 1
-
-    return tail
+                break
+        terms.append(t)
+        n += 1
+    return list(accumulate(reversed(terms), initial=t / (1.0 - cap)))[::-1]
 
 
 # --- registry construction ---------------------------------------------------
@@ -199,11 +207,6 @@ def _zeta_ratio_term(p: Callable[[int], float], ratio: float, minus_one: bool = 
         return coeff(n) * p(n) * ratio ** n
 
     return term_fn
-
-
-def _binom_frac(c: int, denom: int) -> float:
-    # exact rational -> correctly rounded float; immune to int->float overflow
-    return float(Fraction(c, denom))
 
 
 def _f(x: float) -> ClosedFn:
@@ -273,9 +276,10 @@ def _binom_family(
         num, den = c, n * inv_pow ** n
         if weighted:
             num, den = c * (4 ** n - 1), den * 4 ** n
-        return zeta_even_float(n) * _binom_frac(num, den)
+        # int / int is correctly rounded (OverflowError past float range)
+        return zeta_even_float(n) * (num / den)
 
-    def tail_fn(param: int | None, N: int) -> float:
+    def tails_fn(param: int | None, N: int) -> list[float]:
         m = choose(param)
 
         def term_abs(n: int) -> float:
@@ -288,7 +292,7 @@ def _binom_family(
                 cap *= (1.0 - 4.0 ** (-(n + 1))) / (1.0 - 4.0 ** (-n))
             return cap
 
-        return _ratio_capped_tail(term_abs, ratio_cap, q_star)(N)
+        return _ratio_capped_tails(term_abs, ratio_cap, q_star, N)
 
     return IdentityDescriptor(
         id=id,
@@ -302,7 +306,8 @@ def _binom_family(
         term_fn=term_fn,
         closed_fn=closed_fn,
         printed_closed_fn=printed_closed_fn,
-        tail_fn=tail_fn,
+        tail_fn=lambda param, N: tails_fn(param, N)[0],
+        tails_fn=tails_fn,
     )
 
 
@@ -353,8 +358,7 @@ def _sum38_closed(k: int | None) -> float:
 
 
 def _apery_term(_param: int | None, n: int) -> float:
-    denom = n ** 3 * math.comb(2 * n, n)
-    value = _binom_frac(1, denom)
+    value = 1 / (n ** 3 * math.comb(2 * n, n))
     return value if n % 2 == 1 else -value
 
 
@@ -674,10 +678,27 @@ def list_identities() -> list[IdentitySummary]:
 
 _PARAM_CAP = 256  # keeps binomial coefficients comfortably inside float range
 
+_DEFAULT_MAX_TERMS = 1_000_000
+
 # Published tail bounds carry this absolute pad so they also cover the
 # last-place rounding of the compensated partial sums being compared; the
 # worst observed fold noise is ~4e-16 for sums of magnitude ~2.
 TAIL_FLOOR = 1e-15
+
+
+class InconclusiveError(RuntimeError):
+    """Raised when the term cap is hit before the tail bound meets tolerance."""
+
+
+def max_terms() -> int:
+    """Series-length cap; ZETAKIT_MAX_TERMS overrides the default of 10^6."""
+    raw = os.environ.get("ZETAKIT_MAX_TERMS")
+    if raw is None:
+        return _DEFAULT_MAX_TERMS
+    value = int(raw)
+    if value < 1:
+        raise ValueError("ZETAKIT_MAX_TERMS must be >= 1")
+    return value
 
 
 def _resolve(key: CatalogKey) -> tuple[IdentityDescriptor, int | None]:
@@ -729,6 +750,32 @@ def tail_bound(key: CatalogKey, N: int) -> float:
     if N < entry.start_index:
         raise ValueError(f"N must be >= start index {entry.start_index}")
     return entry.tail_fn(param, N) + TAIL_FLOOR
+
+
+def depth_for(key: CatalogKey, tolerance: float) -> int:
+    """Least N >= start_index with scale * tail_bound(key, N) <= tolerance / 2.
+
+    scale is |scale_fn| of the assembled sum (1 for a bare series).  A family
+    reads its suffix table of tails once and takes O(1) closure tails past
+    it; a scalar entry scans its O(1) tails.  Raises InconclusiveError when
+    no N up to max_terms() qualifies.
+    """
+    if not (math.isfinite(tolerance) and tolerance >= 1e-13):
+        raise ValueError("tolerance must be finite and >= 1e-13")
+    entry, param = _resolve(key)
+    scale = abs(entry.scale_fn(param)) if entry.scale_fn is not None else 1.0
+    tails = entry.tails_fn or (lambda p, N: (entry.tail_fn(p, N),))
+    cap = max_terms()
+    n = entry.start_index
+    while True:
+        for tail in tails(param, n):
+            if n > cap:
+                raise InconclusiveError(
+                    f"{key.label()}: tail bound still above {tolerance/2:g} at the {cap}-term cap"
+                )
+            if scale * (tail + TAIL_FLOOR) <= 0.5 * tolerance:
+                return n
+            n += 1
 
 
 def partial_sum(key: CatalogKey, N: int) -> EvalResult:

@@ -114,13 +114,13 @@ def _compute_zeta3(method: str | None, tol: float) -> EvalResult:
     if ident not in ZETA3_METHOD_IDS:
         raise ValueError(f"unknown zeta3 method {method!r}")
     key = CatalogKey(ident)
-    depth = verifier._choose_depth(key, tol)
-    return catalog.assembled_sum(key, depth)
+    return catalog.assembled_sum(key, catalog.depth_for(key, tol))
 
 
 def _cmd_compute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     tol = args.tol
     try:
+        CliConfig(tolerance=tol).validate()
         if args.constant == "zeta":
             if args.value is None:
                 raise ValueError("compute zeta needs an argument s")
@@ -146,6 +146,9 @@ def _cmd_compute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
             if args.value is None:
                 raise ValueError("compute zetaE needs an integer k")
             res = zeta_e_weighted(int(args.value))
+    except catalog.InconclusiveError as exc:
+        print(str(exc), file=sys.stderr)
+        return 3
     except (ValueError, KeyError) as exc:
         parser.error(str(exc))  # exits 2
     _print_result(res)
@@ -166,7 +169,7 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             key = CatalogKey(args.id, param)
             try:
                 reports = verifier.verify(key, cfg.tolerance)
-            except verifier.InconclusiveError:
+            except catalog.InconclusiveError:
                 reports = [verifier._inconclusive_report(key, cfg.tolerance)]
     except (KeyError, ValueError) as exc:
         parser.error(str(exc))
@@ -187,7 +190,7 @@ def _cmd_converge(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         parser.error(str(exc))
     try:
         table = convergence.compare(args.target, cfg.tolerance)
-    except verifier.InconclusiveError as exc:
+    except catalog.InconclusiveError as exc:
         print(str(exc), file=sys.stderr)
         return 3
     except ValueError as exc:

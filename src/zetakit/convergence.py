@@ -9,9 +9,8 @@ import time
 from dataclasses import dataclass
 
 from . import catalog
-from .catalog import CatalogKey
+from .catalog import CatalogKey, InconclusiveError, max_terms
 from .summation import CompensatedSum
-from .verifier import InconclusiveError, max_terms
 
 __all__ = ["ConvergenceProfile", "profile", "compare", "export", "COMPARE_TARGETS"]
 
@@ -56,10 +55,10 @@ def profile(key: CatalogKey, tolerance: float) -> ConvergenceProfile:
     """Minimal-terms profile of one identity against its own closed form.
 
     The scan is incremental (series terms are cheap, depths are small), and
-    minimality is asserted in-run: the depth just below the reported one must
-    miss the tolerance.  Wall time is taken from a second, cache-warm
-    evaluation at the found depth, so Bernoulli/zeta table population does
-    not pollute the timing.
+    minimality is checked in-run: the depth just below the reported one must
+    miss the tolerance, or RuntimeError is raised.  Wall time is taken from a
+    second, cache-warm evaluation at the found depth, so Bernoulli/zeta table
+    population does not pollute the timing.
     """
     if tolerance < 1e-13:
         raise ValueError("tolerance must be >= 1e-13")
@@ -68,7 +67,8 @@ def profile(key: CatalogKey, tolerance: float) -> ConvergenceProfile:
     start, term_fn, param, offset, scale = _assembly(key)
     if n > start:
         prev = catalog.assembled_sum(key, n - 1)
-        assert abs(prev.value - target) > tolerance, "scan depth was not minimal"
+        if abs(prev.value - target) <= tolerance:
+            raise RuntimeError(f"{key.label()}: scan depth {n} was not minimal")
 
     t0 = time.perf_counter_ns()
     acc = CompensatedSum()

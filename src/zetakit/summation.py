@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable
-
-__all__ = ["CompensatedSum", "comp_sum"]
+__all__ = ["CompensatedSum"]
 
 
 class CompensatedSum:
@@ -31,11 +29,3 @@ class CompensatedSum:
     @property
     def value(self) -> float:
         return self._hi + self._lo
-
-
-def comp_sum(terms: Iterable[float]) -> float:
-    """Compensated sum of an iterable of floats."""
-    acc = CompensatedSum()
-    for t in terms:
-        acc.add(t)
-    return acc.value

@@ -7,13 +7,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
 from . import catalog
-from .catalog import CatalogKey
+from .catalog import CatalogKey, InconclusiveError, max_terms
 from .quadrature import QuadratureResult, tanh_sinh
 from .specfun import catalan, clausen_cl2
 from .summation import CompensatedSum
@@ -36,24 +35,7 @@ __all__ = [
     "reports_to_text",
 ]
 
-_DEFAULT_MAX_TERMS = 1_000_000
-
 THETA_GRID = (math.pi / 6, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
-
-
-class InconclusiveError(RuntimeError):
-    """Raised when the term cap is hit before the tail bound meets tolerance."""
-
-
-def max_terms() -> int:
-    """Series-length cap; ZETAKIT_MAX_TERMS overrides the default of 10^6."""
-    raw = os.environ.get("ZETAKIT_MAX_TERMS")
-    if raw is None:
-        return _DEFAULT_MAX_TERMS
-    value = int(raw)
-    if value < 1:
-        raise ValueError("ZETAKIT_MAX_TERMS must be >= 1")
-    return value
 
 
 @dataclass(frozen=True)
@@ -92,22 +74,6 @@ class VerificationReport:
         }
 
 
-def _choose_depth(key: CatalogKey, tolerance: float) -> int:
-    """Least N whose assembled tail bound is at or below tolerance/2."""
-    entry, param = catalog._resolve(key)
-    scale = abs(entry.scale_fn(param)) if entry.scale_fn is not None else 1.0
-    cap = max_terms()
-    n = entry.start_index
-    while True:
-        if scale * catalog.tail_bound(key, n) <= 0.5 * tolerance:
-            return n
-        n += 1
-        if n > cap:
-            raise InconclusiveError(
-                f"{key.label()}: tail bound still above {tolerance/2:g} at the {cap}-term cap"
-            )
-
-
 def _report(key: CatalogKey, lhs_value: float, lhs_bound: float, rhs: float,
             n_terms: int, tolerance: float, variant: str) -> VerificationReport:
     abs_err = abs(lhs_value - rhs)
@@ -120,17 +86,15 @@ def _report(key: CatalogKey, lhs_value: float, lhs_bound: float, rhs: float,
 def verify(key: CatalogKey, tolerance: float, *, include_printed: bool = True) -> list[VerificationReport]:
     """Verify one identity; corrected entries yield a second, printed-variant report.
 
-    Depth is the least N whose tail bound clears tolerance/2, so the pass
-    criterion abs_err <= tolerance + tail(N) is decidable.
+    Depth is catalog.depth_for: the least N whose tail bound clears
+    tolerance/2, so the pass criterion abs_err <= tolerance + tail(N) is
+    decidable.
     """
-    if tolerance < 1e-13:
-        raise ValueError("tolerance must be >= 1e-13")
-    entry, _ = catalog._resolve(key)
-    n = _choose_depth(key, tolerance)
+    n = catalog.depth_for(key, tolerance)
     lhs = catalog.assembled_sum(key, n)
     reports = [_report(key, lhs.value, lhs.error_bound, catalog.closed_form(key),
                        lhs.terms_used, tolerance, "corrected")]
-    if entry.status == "corrected" and include_printed:
+    if catalog.get(key.id).status == "corrected" and include_printed:
         reports.append(_report(key, lhs.value, lhs.error_bound, catalog.printed_closed_form(key),
                                lhs.terms_used, tolerance, "printed"))
     return reports
@@ -151,8 +115,8 @@ def verify_all(tolerance: float, param_limit: int) -> list[VerificationReport]:
     order of this list is the citation order regardless of how callers
     schedule the work.
     """
-    if param_limit < 1:
-        raise ValueError("param_limit must be >= 1")
+    if not (1 <= param_limit <= catalog._PARAM_CAP):
+        raise ValueError(f"param_limit must be in [1, {catalog._PARAM_CAP}]")
     reports: list[VerificationReport] = []
     for entry in catalog.registry().values():
         if not entry.verifiable:

@@ -58,6 +58,27 @@ def test_compute_usage_errors():
         assert exc.value.code == 2
 
 
+def test_compute_tolerance_out_of_range():
+    for method in ("apery", "ewell"):
+        for tol in ("1e-20", "-1", "nan"):
+            with pytest.raises(SystemExit) as exc:
+                main(["compute", "zeta3", "--method", method, "--tol", tol])
+            assert exc.value.code == 2
+    # the range holds for every constant, not only where a depth is chosen
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "catalan", "--tol", "1"])
+    assert exc.value.code == 2
+
+
+def test_compute_inconclusive_exit_code(capsys, monkeypatch):
+    monkeypatch.setenv("ZETAKIT_MAX_TERMS", "4")
+    code = main(["compute", "zeta3", "--method", "ewell", "--tol", "1e-10"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "ZETA3_EWELL_16" in captured.err and "4-term cap" in captured.err
+
+
 def test_verify_all_exit_and_annotations(capsys):
     code, out = run(capsys, "verify", "--all", "--tol", "1e-9")
     assert code == 0

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetakit import catalog
+from zetakit import catalog, convergence
 from zetakit.catalog import CatalogKey
 from zetakit.convergence import compare, export, profile
 from zetakit.specfun import riemann_zeta
@@ -44,6 +44,18 @@ def test_profile_deterministic_apart_from_timing():
     a = profile(CatalogKey("ZETA3_17"), 1e-10)
     b = profile(CatalogKey("ZETA3_17"), 1e-10)
     assert (a.terms_needed, a.achieved_error) == (b.terms_needed, b.achieved_error)
+
+
+def test_profile_rejects_non_minimal_scan(monkeypatch):
+    scan = convergence._scan_to_tolerance
+
+    def one_too_deep(key, target, tolerance):
+        n, err = scan(key, target, tolerance)
+        return n + 1, err
+
+    monkeypatch.setattr(convergence, "_scan_to_tolerance", one_too_deep)
+    with pytest.raises(RuntimeError, match="not minimal"):
+        profile(CatalogKey("ZETA3_17"), 1e-10)
 
 
 def test_profile_inconclusive_under_cap(monkeypatch):

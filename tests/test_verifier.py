@@ -105,6 +105,15 @@ def test_verify_all_expected_failures():
     assert not any(r.inconclusive for r in reports)
 
 
+def test_verify_all_rejects_param_limit_above_cap_before_work(monkeypatch):
+    def no_verify(*args, **kwargs):
+        raise AssertionError("verify ran before param_limit was checked")
+
+    monkeypatch.setattr(verifier, "verify", no_verify)
+    with pytest.raises(ValueError):
+        verify_all(1e-3, catalog._PARAM_CAP + 1)
+
+
 def test_verify_all_report_count():
     reports = verify_all(1e-9, 12)
     scalars = sum(1 for e in catalog.registry().values() if e.verifiable and not e.is_family)
