@@ -2,19 +2,19 @@
 constant, the Euler-Mascheroni constant, polygamma, and the Clausen function
 Cl2 by four independent methods.
 
-All series loops use compensated summation.  Every EvalResult carries a
-rigorous truncation bound (padded by a few ulps of the result so that it also
-covers the accumulation noise actually observed in 64-bit arithmetic).
+All series loops use compensated summation; the direct Cl2 oracle uses
+math.fsum.  Every EvalResult carries a rigorous truncation bound (padded by
+a few ulps of the result so that it also covers the accumulation noise
+actually observed in 64-bit arithmetic).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import threading
 from dataclasses import dataclass
-
-import numpy as np
 
 from .exact import bernoulli, zeta_e_exact, zeta_even_exact
 from .summation import CompensatedSum
@@ -49,6 +49,13 @@ _ULPS = 16 * sys.float_info.epsilon  # rounding allowance folded into bounds
 _CVZ_TERMS = 48  # alternating-series acceleration depth for 0 < s < 1
 
 _DIRECT_CL2_TERMS = 1_000_000
+
+# |2 pi - TWO_PI| = 2.4492935982947064e-16, rounded up far enough to cover
+# the rounding of the reduction error computed from it
+_TWO_PI_ERR = 2.44929359829471e-16
+_CL2_RANGE = 2.03  # max Cl2 - min Cl2 = 2 Cl2(pi/3) = 2.0298832...
+_LOG2 = math.log(2.0)
+_SUBNORMAL_PAD = 16 * math.ulp(0.0)  # a few roundings of subnormal results
 
 CL2_METHODS = ("direct", "accel", "peeled", "wzl", "auto")
 
@@ -176,7 +183,7 @@ def dirichlet_beta(s: float) -> EvalResult:
     if not (s >= 1.0 and math.isfinite(s)):
         raise ValueError("dirichlet_beta requires finite s >= 1")
     if s == 1.0:
-        return EvalResult(math.pi / 4.0, 0, 0.0)
+        return EvalResult(math.pi / 4.0, 0, _ULPS * math.pi / 4.0)
     h14 = hurwitz_zeta(s, 0.25)
     h34 = hurwitz_zeta(s, 0.75)
     scale = 4.0 ** (-s)
@@ -231,7 +238,7 @@ def zeta_e_weighted(k: int) -> EvalResult:
     if k < 0:
         raise ValueError("zeta_e_weighted requires k >= 0")
     if k == 0:
-        return EvalResult(math.pi / 4.0, 0, 0.0)
+        return EvalResult(math.pi / 4.0, 0, _ULPS * math.pi / 4.0)
     value = zeta_e_exact(k).numeric() * (1.0 - 4.0 ** (-k))
     return EvalResult(value, 0, _ULPS * abs(value))
 
@@ -282,119 +289,168 @@ def zeta_even_m1_float(n: int) -> float:
 # --- Clausen function Cl2 ---------------------------------------------------
 
 
-def _cl2_reduce(theta: float) -> tuple[float, float]:
-    """Reduce theta by 2 pi periodicity and oddness onto [0, pi].
+def _cl2_reduce(theta: float) -> tuple[float, float, float]:
+    """Reduce theta by oddness, then 2 pi periodicity, onto [0, pi].
 
-    Returns (reduced, sign) with Cl2(theta) = sign * Cl2(reduced).
+    Returns (r, sign, spread) with |Cl2(theta) - sign * Cl2(r)| <= spread.
+    fmod and the reflection 2pi - r are exact in floats (the latter by
+    Sterbenz's lemma), but each period the float TWO_PI removes misses 2 pi
+    by _TWO_PI_ERR, so the true reduced angle is within delta of r, and
+    spread bounds |Cl2(x) - Cl2(r)| over |x - r| <= delta.  On [0, pi]
+    delta = spread = 0.
+
+    log(2 sin(x/2)) = -Cl2'(x) is concave on (0, 2pi) and symmetric about
+    pi, where it peaks at log 2.  With r <= pi the end r - delta lies
+    farther from pi, so away from 0 the slope's size peaks there or is at
+    most log 2.  An interval reaching 0 takes twice the integral of
+    |log x| + 1 from 0 to r + delta; a wider one, the range of Cl2.
     """
+    sign = 1.0
+    if theta < 0.0:
+        theta, sign = -theta, -1.0
     r = math.fmod(theta, TWO_PI)
-    if r < 0.0:
-        r += TWO_PI
+    periods = (theta - r) / TWO_PI
     if r > math.pi:
-        return TWO_PI - r, -1.0
-    return r, 1.0
+        r, sign, periods = TWO_PI - r, -sign, periods + 1.0
+    if not periods:
+        return r, sign, 0.0
+    delta = periods * _TWO_PI_ERR
+    if delta < r:  # then r + delta < 2r <= 2pi as well
+        slope = -math.log(2.0 * math.sin(0.5 * (r - delta)))
+        return r, sign, delta * (slope if slope > _LOG2 else _LOG2)
+    hi = r + delta
+    return r, sign, 2.0 * hi * (2.0 - math.log(hi)) if hi < 1.0 else _CL2_RANGE
 
 
-def _cl2_accel(r: float) -> EvalResult:
-    # Cl2(r) = r(1 - log r) + r sum zeta(2n)/(n(2n+1)) q^n,  q = (r/2pi)^2
-    if r == 0.0:
-        return EvalResult(0.0, 0, 0.0)
-    q = (r / TWO_PI) ** 2
-    acc = CompensatedSum()
-    qpow = 1.0
-    n = 0
-    while True:
-        n += 1
-        qpow *= q
-        acc.add(zeta_even_float(n) / (n * (2 * n + 1)) * qpow)
-        tail = ZETA2 * qpow * q / ((n + 1) * (2 * n + 3) * (1.0 - q)) * r
-        if tail <= 1e-17 or n >= 400:
-            break
-    head = r * (1.0 - math.log(r))
-    value = head + r * acc.value
-    # rounding floor scales with the assembled pieces, not the (smaller) result
-    mag = abs(head) + r * acc.value
-    return EvalResult(value, n, tail + _ULPS * mag)
+def _accel_head(r: float) -> tuple[float, float]:
+    h = r * (1.0 - math.log(r))
+    return h, abs(h)
 
 
-def _cl2_wzl(r: float) -> EvalResult:
-    # Cl2(r) = r - r log(2 sin(r/2)) - sum 2 zeta(2n)/(2n+1) q^n r
-    if r == 0.0:
-        return EvalResult(0.0, 0, 0.0)
-    q = (r / TWO_PI) ** 2
-    acc = CompensatedSum()
-    qpow = 1.0
-    n = 0
-    while True:
-        n += 1
-        qpow *= q
-        acc.add(2.0 * zeta_even_float(n) / (2 * n + 1) * qpow)
-        tail = 2.0 * ZETA2 * qpow * q / ((2 * n + 3) * (1.0 - q)) * r
-        if tail <= 1e-17 or n >= 400:
-            break
-    head = r - r * math.log(2.0 * math.sin(0.5 * r))
-    value = head - r * acc.value
-    mag = abs(head) + r * acc.value
-    return EvalResult(value, n, tail + _ULPS * mag)
+def _wzl_head(r: float) -> tuple[float, float]:
+    # 2 sin(r/2) rounds to r for tiny r; at the least subnormal r the half
+    # angle underflows to 0, so take r itself there
+    h = r - r * math.log(2.0 * math.sin(0.5 * r) or r)
+    return h, abs(h)
 
 
-def _cl2_peeled(r: float) -> EvalResult:
-    # Peeled variant: the zeta(2n) - 1 coefficients decay like 4^-n, so the
-    # effective ratio is q/4.  Majorant zeta(2n) - 1 <= 2 * 4^-n (n >= 2).
-    if r == 0.0:
-        return EvalResult(0.0, 0, 0.0)
-    q = (r / TWO_PI) ** 2
-    acc = CompensatedSum()
-    qpow = 1.0
-    n = 0
-    while True:
-        n += 1
-        qpow *= q
-        acc.add(zeta_even_m1_float(n) / (n * (2 * n + 1)) * qpow)
-        tail = 2.0 * (qpow * q / 4.0 ** (n + 1)) / ((n + 1) * (2 * n + 3) * (1.0 - q / 4.0)) * r
-        if n >= 2 and (tail <= 1e-17 or n >= 400):
-            break
+def _peeled_head(r: float) -> tuple[float, float]:
     t1 = r * (3.0 - math.log(r * (1.0 - r * r / (TWO_PI * TWO_PI))))
-    t2 = TWO_PI * math.log((TWO_PI + r) / (TWO_PI - r))
-    value = t1 - t2 + r * acc.value
+    # 2pi log((2pi + r)/(2pi - r)), without the cancellation of the log near r = 0
+    t2 = 2.0 * TWO_PI * math.atanh(r / TWO_PI)
     # t1 and t2 cancel heavily near r = pi; the floor must see their size
-    mag = abs(t1) + abs(t2) + r * acc.value
-    return EvalResult(value, n, tail + _ULPS * mag)
+    return t1 - t2, abs(t1) + abs(t2)
+
+
+# Eqs. (8), (11) and (10) are one power series in q = (r/2pi)^2:
+#   Cl2(r) = head(r) + r sum_{n>=1} c z(n) q^n / ((a n + 1 - a)(2n + 1)),
+# z(n) = zeta(2n), or zeta(2n) - 1 for the peeled form, whose coefficients
+# decay like 4^-n.  The tail after term n is majorised by
+#   major q^(n+1) / rho^(n+1) / ((a n + 1)(2n + 3)(1 - q/rho)) r,
+# from zeta(2n) <= zeta(2) and zeta(2n) - 1 <= 2 * 4^-n (n >= 2).
+# Row: (c, a, peeled coefficients, rho, major, min_n, head).
+_CL2_SERIES = {
+    "accel": (1.0, 1, False, 1.0, ZETA2, 1, _accel_head),
+    "wzl": (-2.0, 0, False, 1.0, 2.0 * ZETA2, 1, _wzl_head),
+    "peeled": (1.0, 1, True, 4.0, 2.0, 2, _peeled_head),
+}
+
+
+def _cl2_series(r: float, method: str) -> EvalResult:
+    c, a, peeled, rho, major, min_n, head_fn = _CL2_SERIES[method]
+    coef = zeta_even_m1_float if peeled else zeta_even_float
+    q = (r / TWO_PI) ** 2
+    ratio = 1.0 - q / rho
+    step = 1.0 / rho  # exact: rho is 1 or 4
+    major *= step  # major / rho^(n+1), exact
+    acc = CompensatedSum()
+    qpow = 1.0
+    weight = 3  # (a n + 1 - a)(2n + 1) at n = 1
+    n = 0
+    while True:
+        n += 1
+        qpow *= q
+        major *= step
+        acc.add(coef(n) / weight * qpow)
+        weight = (a * n + 1) * (2 * n + 3)  # the weight of term n + 1
+        tail = major * qpow * q / (weight * ratio) * r
+        if (tail <= 1e-17 and n >= min_n) or n >= 400:
+            break
+    head, head_mag = head_fn(r)
+    # c is 1 or -2: scaling the sum by it is exact, as it would be term by term
+    series = c * r * acc.value
+    # rounding floor scales with the assembled pieces, not the (smaller) result;
+    # below ~1e-307 it underflows, and a subnormal result's rounding is absolute
+    return EvalResult(head + series, n, tail + _ULPS * (head_mag + abs(series)) + _SUBNORMAL_PAD)
+
+
+def _direct_bound(r: float, n: int) -> float:
+    """Bound on |Cl2(r) - sum_{k<=n} sin(k r)/k^2| for the float fsum, 0 < r <= pi.
+
+    Truncation: the k^-2 tail is below 1/(n + 1/2), and, by Abel summation
+    against the partial sums of sin(k r), below 1/((n+1)^2 sin(r/2)).
+    Rounding: each argument k r is off by up to k r eps/2, which moves its
+    term by r eps/(2k); each term is within a few ulps of its size, and the
+    terms' sizes add up to at most zeta(2).
+    """
+    half = math.sin(0.5 * r)
+    abel = 1.0 / ((n + 1) ** 2 * half) if half > 0.0 else math.inf
+    args = 0.5 * sys.float_info.epsilon * r * (1.0 + math.log(n))
+    return min(1.0 / (n + 0.5), abel) + args + _ULPS * ZETA2
+
+
+def _direct_depth(r: float, target: float) -> int:
+    """The least n with _direct_bound(r, n) <= target, capped at _DIRECT_CL2_TERMS."""
+    cap = _DIRECT_CL2_TERMS
+    scale = target * math.sin(0.5 * r)
+    if scale <= 1.0 / cap ** 2:  # with target <= 1/cap, no n below the cap meets it
+        return cap
+    # the Abel bound alone puts n within a step or two of the least
+    n = max(1, math.ceil(1.0 / math.sqrt(scale)) - 1)
+    while n < cap and _direct_bound(r, n) > target:
+        n += 1
+    while n > 1 and _direct_bound(r, n - 1) <= target:
+        n -= 1
+    return n
 
 
 def _cl2_direct(r: float, n_terms: int) -> EvalResult:
-    # Oracle path: plain partial sum of sin(k r)/k^2 with the 1/N tail bound.
-    if r == 0.0:
-        return EvalResult(0.0, 0, 0.0)
-    k = np.arange(1, n_terms + 1, dtype=np.float64)
-    value = float(np.sum(np.sin(k * r) / (k * k)))
-    return EvalResult(value, n_terms, 1.0 / n_terms)
+    # Oracle path: the plain partial sum of sin(k r)/k^2, correctly rounded by
+    # fsum.  Terms come in list chunks, which run faster than one generator.
+    sin = math.sin
+    step = 1 << 14
+    chunks = ([sin(k * r) / (k * k) for k in range(lo, min(lo + step, n_terms + 1))]
+              for lo in range(1, n_terms + 1, step))
+    value = math.fsum(itertools.chain.from_iterable(chunks))
+    return EvalResult(value, n_terms, _direct_bound(r, n_terms))
 
 
 def clausen_cl2(theta: float, method: str = "auto", *, n_terms: int | None = None) -> EvalResult:
     """Clausen function Cl2(theta) = sum sin(k theta)/k^2.
 
-    The argument is first reduced by 2 pi periodicity and oddness onto
-    [0, pi]; the requested method then runs on the reduced argument.
+    The argument is first reduced by oddness and 2 pi periodicity onto
+    [0, pi]; the requested method then runs on the reduced argument, and
+    the error bound adds what the float 2 pi of the reduction can move
+    Cl2 by (nothing for theta in [0, pi]).
     Methods: "accel" (log-peeled power series in (theta/2pi)^2), "wzl"
     (variant with the log(2 sin(theta/2)) term), "peeled" (zeta(2n) - 1
     coefficients, fastest ratio), "direct" (plain partial sum, oracle
     quality only), and "auto" (accel below pi/2, wzl above).  `n_terms`
-    overrides the term count of the direct method only.
+    sets the term count of the direct method only; by default it is the
+    least count whose bound, reduction allowance included, is at most
+    1/_DIRECT_CL2_TERMS (1e-6), and never more than _DIRECT_CL2_TERMS.
     """
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
     if method not in CL2_METHODS:
         raise ValueError(f"unknown Cl2 method {method!r}")
-    r, sign = _cl2_reduce(theta)
+    r, sign, spread = _cl2_reduce(theta)
     if method == "auto":
         method = "accel" if r <= 0.5 * math.pi else "wzl"
-    if method == "accel":
-        res = _cl2_accel(r)
-    elif method == "wzl":
-        res = _cl2_wzl(r)
-    elif method == "peeled":
-        res = _cl2_peeled(r)
+    if r == 0.0:
+        res = EvalResult(0.0, 0, 0.0)
+    elif method == "direct":
+        res = _cl2_direct(r, n_terms or _direct_depth(r, 1.0 / _DIRECT_CL2_TERMS - spread))
     else:
-        res = _cl2_direct(r, n_terms or _DIRECT_CL2_TERMS)
-    return EvalResult(sign * res.value, res.terms_used, res.error_bound)
+        res = _cl2_series(r, method)
+    return EvalResult(sign * res.value, res.terms_used, res.error_bound + spread)

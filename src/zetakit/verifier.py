@@ -284,7 +284,8 @@ def cross_check_clausen(
 ) -> VerificationReport:
     """Pairwise agreement of the accel/peeled/wzl Clausen methods on a grid.
 
-    The direct partial sum rides along at its own (1/N-bound) tolerance.
+    The direct partial sum rides along at its own tolerance, which its
+    default depth is chosen to meet (a bound of at most 1e-6).
     The report's lhs/rhs are the two accelerated-method values realizing the
     worst pairwise gap.
     """

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zetakit
 from zetakit.exact import beta_odd_exact, zeta_even_exact
 from zetakit.specfun import (
     CL2_METHODS,
@@ -265,6 +269,16 @@ def test_cl2_zero_argument():
     assert res.value == 0.0
 
 
+def test_cl2_least_subnormal_argument():
+    # 0.5 * 5e-324 underflows to 0; wzl took log(2 sin(0)) there
+    tiny = 5e-324
+    for method in ("accel", "peeled", "wzl", "auto"):
+        res = clausen_cl2(tiny, method)
+        # Cl2(r) = r(1 - log r) + O(r^3) = 3.6813e-321, a subnormal
+        assert abs(res.value - 3.6813e-321) <= res.error_bound
+        assert clausen_cl2(-tiny, method).value == -res.value
+
+
 def test_cl2_periodic_reduction():
     # 5 pi/2 reduces to pi/2; oracle is the unreduced direct sum
     oracle = _direct_unreduced(2.5 * PI, 1_000_000)
@@ -299,6 +313,42 @@ def test_cl2_error_bounds_cover_true_error():
     d = clausen_cl2(2.0, "direct")
     d_hi = clausen_cl2(2.0, "direct", n_terms=10_000_000)
     assert abs(d.value - d_hi.value) <= d.error_bound
+
+
+def test_cl2_odd_symmetry_is_exact():
+    # oddness is applied before the 2 pi reduction, so it costs nothing
+    for theta in (0.0011, 1.0, 4.0, 6.2455, 1e4):
+        for method in CL2_METHODS:
+            pos, neg = clausen_cl2(theta, method), clausen_cl2(-theta, method)
+            assert neg.value == -pos.value
+            assert neg.error_bound == pos.error_bound
+
+
+def test_cl2_float_two_pi_is_not_an_exact_zero():
+    # fmod(TWO_PI, TWO_PI) = 0, but Cl2 at the true reduced angle is ~1e-14
+    res = clausen_cl2(2 * PI)
+    assert res.value == 0.0
+    assert 1e-14 <= res.error_bound <= 1e-13
+
+
+def test_cl2_direct_default_depth():
+    grid = [0.05 + i * (2 * PI - 0.1) / 15 for i in range(16)]
+    grid += [1e-3, -0.0011, 6.2455, 3 * PI + 1e-9, 1e4, 1e6]
+    for theta in grid:
+        res = clausen_cl2(theta, "direct")
+        assert res.error_bound <= 1e-6
+        assert 1 <= res.terms_used < 1_000_000
+        # the least depth: one term fewer misses 1e-6
+        assert clausen_cl2(theta, "direct", n_terms=res.terms_used - 1).error_bound > 1e-6
+
+
+def test_import_leaves_numpy_unloaded():
+    # a fresh interpreter that imports the zetakit under test, from its own path
+    src = os.path.dirname(os.path.dirname(zetakit.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import zetakit; "
+            "zetakit.clausen_cl2(1.0, 'direct'); print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_cl2_rejects_bad_input():
