@@ -39,6 +39,7 @@ from .catalog import (
     assembled_sum,
     closed_form,
     depth_for,
+    evaluate,
     list_identities,
     partial_sum,
     printed_closed_form,

@@ -19,8 +19,8 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from typing import Callable, Optional
+from itertools import accumulate, count, islice
+from typing import Callable, Iterator, Optional
 
 from .exact import zeta_e_exact, zeta_even_exact
 from .specfun import (
@@ -50,6 +50,7 @@ __all__ = [
     "assembled_sum",
     "tail_bound",
     "depth_for",
+    "evaluate",
     "max_terms",
     "InconclusiveError",
     "STATUSES",
@@ -60,7 +61,7 @@ STATUSES = ("as-printed", "corrected", "representation")
 TermFn = Callable[[Optional[int], int], float]
 ClosedFn = Callable[[Optional[int]], float]
 TailFn = Callable[[Optional[int], int], float]
-TailsFn = Callable[[Optional[int], int], list[float]]
+StepsFn = Callable[[Optional[int], int], Iterator[tuple[float, float]]]
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,8 @@ class IdentityDescriptor:
     closed_fn: ClosedFn | None = None
     printed_closed_fn: ClosedFn | None = None
     tail_fn: TailFn | None = None
-    tails_fn: TailsFn | None = None  # tails_fn(param, N)[i] == tail_fn(param, N + i)
+    # steps_fn(param, N) yields (term_fn(param, n), tail_fn(param, n)) for n = N, N+1, ...
+    steps_fn: StepsFn | None = None
     offset_fn: ClosedFn | None = None  # assembled = offset + scale * series
     scale_fn: ClosedFn | None = None
 
@@ -167,34 +169,34 @@ def _poly_geom_tail(p: Callable[[int], float], ratio: float, major: float) -> Ca
     return tail
 
 
-def _ratio_capped_tails(
-    term_abs: Callable[[int], float],
-    ratio_cap: Callable[[int], float],
-    q_star: float,
-    N: int,
-) -> list[float]:
-    """Tails for depths N, N+1, ..., M-1 of a binomial-weighted series, in one
-    suffix pass.
+def _ratio_capped_steps(
+    terms: Iterator[tuple[float, float]], q_star: float
+) -> Iterator[tuple[float, float]]:
+    """(t(n), tail(n)) for n = N, N+1, ..., from the (t(n), cap(n)) pairs of
+    a binomial-weighted series starting at n = N; each term is read once.
 
     M is the first n > N with a nonzero term whose ratio cap is at or below
-    q_star.  The tail at M-1 is the geometric closure t(M)/(1 - cap(M)); each
-    earlier one adds its next term, tail(n) = |t(n+1)| + tail(n+1).  A float
-    sum of non-negative terms cannot shrink, so the list is non-increasing.
+    q_star.  The tail at M-1 is the geometric closure |t(M)|/(1 - cap(M));
+    each earlier one adds its next term, tail(n) = |t(n+1)| + tail(n+1).  A
+    float sum of non-negative terms cannot shrink, so these tails are
+    non-increasing.  Past M, tail(n) closes at n+1 the same way: caps are
+    nonincreasing and a nonzero binomial stays nonzero, so n+1 is the first
+    closure point after n.
 
-    ratio_cap(n) must bound |t(j+1)/t(j)| for every j >= n with positive
-    terms, and be nonincreasing in n; both hold for the binomial families.
+    cap(n) must bound |t(j+1)/t(j)| for every j >= n with positive terms,
+    and be nonincreasing in n; both hold for the binomial families.
     """
-    terms = []
-    n = N + 1
-    while True:
-        t = term_abs(n)
-        if t != 0.0:
-            cap = ratio_cap(n)
-            if cap <= q_star:
-                break
-        terms.append(t)
-        n += 1
-    return list(accumulate(reversed(terms), initial=t / (1.0 - cap)))[::-1]
+    head = [next(terms)[0]]
+    for t, cap in terms:
+        head.append(t)
+        if t != 0.0 and cap <= q_star:
+            break
+    tails = accumulate(map(abs, reversed(head[1:-1])), initial=abs(t) / (1.0 - cap))
+    yield from zip(head, reversed(list(tails)))
+    prev = head[-1]
+    for t, cap in terms:
+        yield prev, abs(t) / (1.0 - cap)
+        prev = t
 
 
 # --- registry construction ---------------------------------------------------
@@ -279,20 +281,38 @@ def _binom_family(
         # int / int is correctly rounded (OverflowError past float range)
         return zeta_even_float(n) * (num / den)
 
-    def tails_fn(param: int | None, N: int) -> list[float]:
+    def terms(param: int | None, N: int) -> Iterator[tuple[float, float]]:
+        """(term_fn(param, n), cap(n)) for n = N, N+1, ..., one pass.
+
+        math.comb runs once, at the first nonzero term; each later binomial
+        follows from C(T+2, m) = C(T, m) (T+2)(T+1) / ((T+2-m)(T+1-m)),
+        which is exact in integers, and the powers grow by multiplication.
+        The integers are term_fn's, so every term is the same float.  cap(n)
+        bounds |t(j+1)/t(j)| for j >= n; a zero term gets cap inf.
+        """
         m = choose(param)
-
-        def term_abs(n: int) -> float:
-            return abs(term_fn(param, n))
-
-        def ratio_cap(n: int) -> float:
-            top = 2 * n + top_offset
-            cap = ratio * (top + 2) * (top + 1) / ((top + 2 - m) * (top + 1 - m))
+        n = N
+        while 2 * n + top_offset < m:
+            yield 0.0, math.inf
+            n += 1
+        top = 2 * n + top_offset
+        c = math.comb(top, m)
+        pow_n, four_n = inv_pow ** n, 4 ** n
+        while True:
+            num, den = c, n * pow_n
+            if weighted:
+                num, den = c * (four_n - 1), den * four_n
+            shrink = (top + 2 - m) * (top + 1 - m)
+            cap = ratio * (top + 2) * (top + 1) / shrink
             if weighted:
                 cap *= (1.0 - 4.0 ** (-(n + 1))) / (1.0 - 4.0 ** (-n))
-            return cap
+            yield zeta_even_float(n) * (num / den), cap
+            c = c * (top + 2) * (top + 1) // shrink
+            n, top = n + 1, top + 2
+            pow_n, four_n = pow_n * inv_pow, four_n * 4
 
-        return _ratio_capped_tails(term_abs, ratio_cap, q_star, N)
+    def steps_fn(param: int | None, N: int) -> Iterator[tuple[float, float]]:
+        return _ratio_capped_steps(terms(param, N), q_star)
 
     return IdentityDescriptor(
         id=id,
@@ -306,8 +326,8 @@ def _binom_family(
         term_fn=term_fn,
         closed_fn=closed_fn,
         printed_closed_fn=printed_closed_fn,
-        tail_fn=lambda param, N: tails_fn(param, N)[0],
-        tails_fn=tails_fn,
+        tail_fn=lambda param, N: next(steps_fn(param, N))[1],
+        steps_fn=steps_fn,
     )
 
 
@@ -752,30 +772,51 @@ def tail_bound(key: CatalogKey, N: int) -> float:
     return entry.tail_fn(param, N) + TAIL_FLOOR
 
 
-def depth_for(key: CatalogKey, tolerance: float) -> int:
-    """Least N >= start_index with scale * tail_bound(key, N) <= tolerance / 2.
+def _assembly(entry: IdentityDescriptor, param: int | None) -> tuple[float, float]:
+    offset = entry.offset_fn(param) if entry.offset_fn is not None else 0.0
+    scale = entry.scale_fn(param) if entry.scale_fn is not None else 1.0
+    return offset, scale
 
-    scale is |scale_fn| of the assembled sum (1 for a bare series).  A family
-    reads its suffix table of tails once and takes O(1) closure tails past
-    it; a scalar entry scans its O(1) tails.  Raises InconclusiveError when
-    no N up to max_terms() qualifies.
+
+def evaluate(key: CatalogKey, tolerance: float) -> EvalResult:
+    """assembled_sum(key, depth_for(key, tolerance)), each term evaluated once.
+
+    One scan from start_index sums the terms and stops at the least N with
+    |scale| * tail_bound(key, N) <= tolerance / 2, where scale is the
+    assembly factor (1 for a bare series).  A tolerance that is not finite
+    or is below 1e-13 is a ValueError; InconclusiveError is raised when no
+    N up to max_terms() qualifies.
     """
     if not (math.isfinite(tolerance) and tolerance >= 1e-13):
         raise ValueError("tolerance must be finite and >= 1e-13")
     entry, param = _resolve(key)
-    scale = abs(entry.scale_fn(param)) if entry.scale_fn is not None else 1.0
-    tails = entry.tails_fn or (lambda p, N: (entry.tail_fn(p, N),))
+    offset, scale = _assembly(entry, param)
+    size = abs(scale)
+    start = entry.start_index
+    if entry.steps_fn is not None:  # a family reads terms and tails from one pass
+        steps = entry.steps_fn(param, start)
+    else:  # a scalar entry evaluates each term and its O(1) tail
+        steps = ((entry.term_fn(param, n), entry.tail_fn(param, n)) for n in count(start))
     cap = max_terms()
-    n = entry.start_index
-    while True:
-        for tail in tails(param, n):
-            if n > cap:
-                raise InconclusiveError(
-                    f"{key.label()}: tail bound still above {tolerance/2:g} at the {cap}-term cap"
-                )
-            if scale * (tail + TAIL_FLOOR) <= 0.5 * tolerance:
-                return n
-            n += 1
+    acc = CompensatedSum()
+    for n, (t, tail) in enumerate(steps, start):
+        if n > cap:
+            raise InconclusiveError(
+                f"{key.label()}: tail bound still above {tolerance/2:g} at the {cap}-term cap"
+            )
+        acc.add(t)
+        bound = size * (tail + TAIL_FLOOR)
+        if bound <= 0.5 * tolerance:
+            return EvalResult(offset + scale * acc.value, n - start + 1, bound)
+
+
+def depth_for(key: CatalogKey, tolerance: float) -> int:
+    """Least N >= start_index with |scale| * tail_bound(key, N) <= tolerance / 2.
+
+    The depth evaluate() stops at; it raises what evaluate() raises.
+    """
+    res = evaluate(key, tolerance)
+    return get(key.id).start_index + res.terms_used - 1
 
 
 def partial_sum(key: CatalogKey, N: int) -> EvalResult:
@@ -784,15 +825,19 @@ def partial_sum(key: CatalogKey, N: int) -> EvalResult:
     if N < entry.start_index:
         raise ValueError(f"N must be >= start index {entry.start_index}")
     acc = CompensatedSum()
-    for n in range(entry.start_index, N + 1):
-        acc.add(entry.term_fn(param, n))
-    return EvalResult(acc.value, N - entry.start_index + 1, entry.tail_fn(param, N) + TAIL_FLOOR)
+    if entry.steps_fn is None:
+        for n in range(entry.start_index, N + 1):
+            acc.add(entry.term_fn(param, n))
+        tail = entry.tail_fn(param, N)
+    else:  # the pass that gives the terms also gives the tail at N
+        for t, tail in islice(entry.steps_fn(param, entry.start_index), N - entry.start_index + 1):
+            acc.add(t)
+    return EvalResult(acc.value, N - entry.start_index + 1, tail + TAIL_FLOOR)
 
 
 def assembled_sum(key: CatalogKey, N: int) -> EvalResult:
     """offset + scale * partial_sum(N): the identity's left-hand side at depth N."""
     entry, param = _resolve(key)
     bare = partial_sum(key, N)
-    offset = entry.offset_fn(param) if entry.offset_fn is not None else 0.0
-    scale = entry.scale_fn(param) if entry.scale_fn is not None else 1.0
+    offset, scale = _assembly(entry, param)
     return EvalResult(offset + scale * bare.value, bare.terms_used, abs(scale) * bare.error_bound)

@@ -113,8 +113,7 @@ def _compute_zeta3(method: str | None, tol: float) -> EvalResult:
     ident = ZETA3_METHOD_ALIASES.get(method.lower(), method.upper())
     if ident not in ZETA3_METHOD_IDS:
         raise ValueError(f"unknown zeta3 method {method!r}")
-    key = CatalogKey(ident)
-    return catalog.assembled_sum(key, catalog.depth_for(key, tol))
+    return catalog.evaluate(CatalogKey(ident), tol)
 
 
 def _cmd_compute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -170,7 +169,7 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             try:
                 reports = verifier.verify(key, cfg.tolerance)
             except catalog.InconclusiveError:
-                reports = [verifier._inconclusive_report(key, cfg.tolerance)]
+                reports = [verifier.inconclusive_report(key, cfg.tolerance)]
     except (KeyError, ValueError) as exc:
         parser.error(str(exc))
     text = verifier.reports_to_json(reports) if cfg.format == "json" else verifier.reports_to_text(reports)

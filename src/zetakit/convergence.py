@@ -28,21 +28,17 @@ class ConvergenceProfile:
     wall_time_ns: int
 
 
-def _assembly(key: CatalogKey):
-    entry, param = catalog._resolve(key)
-    offset = entry.offset_fn(param) if entry.offset_fn is not None else 0.0
-    scale = entry.scale_fn(param) if entry.scale_fn is not None else 1.0
-    return entry.start_index, entry.term_fn, param, offset, scale
-
-
 def _scan_to_tolerance(key: CatalogKey, target: float, tolerance: float) -> tuple[int, float]:
     """Least summation depth N with |assembled(N) - target| <= tolerance."""
-    start, term_fn, param, offset, scale = _assembly(key)
+    entry = catalog.get(key.id)
+    offset = entry.offset_fn(key.param) if entry.offset_fn is not None else 0.0
+    scale = entry.scale_fn(key.param) if entry.scale_fn is not None else 1.0
+    start = entry.start_index
     cap = max_terms()
     acc = CompensatedSum()
     n = start
     while True:
-        acc.add(term_fn(param, n))
+        acc.add(entry.term_fn(key.param, n))
         err = abs(offset + scale * acc.value - target)
         if err <= tolerance:
             return n, err
@@ -62,19 +58,16 @@ def profile(key: CatalogKey, tolerance: float) -> ConvergenceProfile:
     """
     if tolerance < 1e-13:
         raise ValueError("tolerance must be >= 1e-13")
-    target = catalog.closed_form(key)
+    target = catalog.closed_form(key)  # validates the key
     n, err = _scan_to_tolerance(key, target, tolerance)
-    start, term_fn, param, offset, scale = _assembly(key)
+    start = catalog.get(key.id).start_index
     if n > start:
         prev = catalog.assembled_sum(key, n - 1)
         if abs(prev.value - target) <= tolerance:
             raise RuntimeError(f"{key.label()}: scan depth {n} was not minimal")
 
     t0 = time.perf_counter_ns()
-    acc = CompensatedSum()
-    for i in range(start, n + 1):
-        acc.add(term_fn(param, i))
-    value = offset + scale * acc.value
+    value = catalog.assembled_sum(key, n).value
     wall = time.perf_counter_ns() - t0
     achieved = abs(value - target)
     return ConvergenceProfile(key, tolerance, n - start + 1, achieved, wall)

@@ -23,6 +23,7 @@ __all__ = [
     "max_terms",
     "verify",
     "verify_all",
+    "inconclusive_report",
     "check_binomial_identity",
     "check_reciprocal_identity",
     "quadrature",
@@ -86,12 +87,11 @@ def _report(key: CatalogKey, lhs_value: float, lhs_bound: float, rhs: float,
 def verify(key: CatalogKey, tolerance: float, *, include_printed: bool = True) -> list[VerificationReport]:
     """Verify one identity; corrected entries yield a second, printed-variant report.
 
-    Depth is catalog.depth_for: the least N whose tail bound clears
-    tolerance/2, so the pass criterion abs_err <= tolerance + tail(N) is
-    decidable.
+    The sum is catalog.evaluate: at the least depth N whose tail bound
+    clears tolerance/2, so the pass criterion abs_err <= tolerance + tail(N)
+    is decidable.
     """
-    n = catalog.depth_for(key, tolerance)
-    lhs = catalog.assembled_sum(key, n)
+    lhs = catalog.evaluate(key, tolerance)
     reports = [_report(key, lhs.value, lhs.error_bound, catalog.closed_form(key),
                        lhs.terms_used, tolerance, "corrected")]
     if catalog.get(key.id).status == "corrected" and include_printed:
@@ -100,7 +100,8 @@ def verify(key: CatalogKey, tolerance: float, *, include_printed: bool = True) -
     return reports
 
 
-def _inconclusive_report(key: CatalogKey, tolerance: float) -> VerificationReport:
+def inconclusive_report(key: CatalogKey, tolerance: float) -> VerificationReport:
+    """The failed report, flagged inconclusive, of a check that hit the term cap."""
     return VerificationReport(key, 0.0, 0.0, 0.0, 0.0, max_terms(), tolerance,
                               "corrected", False, inconclusive=True)
 
@@ -131,7 +132,7 @@ def verify_all(tolerance: float, param_limit: int) -> list[VerificationReport]:
             try:
                 reports.extend(verify(key, tolerance, include_printed=first))
             except InconclusiveError:
-                reports.append(_inconclusive_report(key, tolerance))
+                reports.append(inconclusive_report(key, tolerance))
             first = False
     return reports
 

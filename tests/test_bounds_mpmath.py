@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from zetakit.specfun import CL2_METHODS, clausen_cl2, dirichlet_beta, zeta_e_weighted
+from zetakit.specfun import CL2_METHODS, clausen_cl2, dirichlet_beta, riemann_zeta, zeta_e_weighted
 
 mp = pytest.importorskip("mpmath")
 
@@ -48,9 +48,8 @@ def test_cl2_bound_covers_the_reduction(theta, method):
 @pytest.mark.parametrize("theta", [2 * math.pi, -2 * math.pi, 4 * math.pi, 1e300])
 def test_cl2_bound_at_exact_float_multiples_of_two_pi(theta):
     # fmod gives r = 0 (or, at 1e300, an r that says nothing), but the true
-    # reduced angle is not r; direct at 1e300 would sum its 10^6-term cap
-    methods = CL2_METHODS if abs(theta) < 100 else ("accel", "peeled", "wzl", "auto")
-    for method in methods:
+    # reduced angle is not r
+    for method in CL2_METHODS:
         res = clausen_cl2(theta, method)
         assert _within_bound(res, _cl2_ref(theta)), method
 
@@ -72,6 +71,24 @@ def test_direct_default_depth_bound():
         res = clausen_cl2(theta, "direct")
         assert res.error_bound <= 1e-6 and res.terms_used <= 1_000_000
         assert _within_bound(res, _cl2_ref(theta)), theta
+
+
+@pytest.mark.parametrize("theta", [1e300, 1e12])
+def test_direct_default_depth_past_a_large_allowance(theta):
+    # the reduction allowance alone is above 1e-6, so no depth meets 1e-6;
+    # the default depth is the least whose own bound is at most the allowance
+    res = clausen_cl2(theta, "direct")
+    assert res.terms_used <= 1_000
+    assert _within_bound(res, _cl2_ref(theta))
+
+
+@pytest.mark.parametrize("s", [0.00055, 0.1, 0.985, 0.999, 0.9999, 1 - 1e-8])
+def test_zeta_bound_on_the_critical_strip(s):
+    # near 1 the scale 1 - 2^(1-s) cancelled; near 0 the bound left out the
+    # rounding of the accelerated eta sum
+    res = riemann_zeta(s)
+    with mp.workdps(50):
+        assert abs(mp.mpf(res.value) - mp.zeta(mp.mpf(s))) <= mp.mpf(res.error_bound)
 
 
 def test_quarter_pi_bound_covers_the_rounding():

@@ -1,15 +1,97 @@
-"""catalog.depth_for: the least depth whose scaled tail bound clears tol/2."""
+"""catalog.depth_for and catalog.evaluate: the least depth whose scaled tail
+bound clears tol/2, and the assembled sum there.
+
+The reference below is written apart from the library's one-pass tables:
+every family term comes from term_fn, which computes its binomial with
+math.comb, and every family tail from the suffix rule
+tail(N) = |t(N+1)| + ... + |t(M-1)| + |t(M)|/(1 - cap(M)), rebuilt at each N.
+"""
 
 import math
+from itertools import islice
 
 import pytest
 
-from zetakit import catalog
+from zetakit import catalog, verifier
 from zetakit.catalog import CatalogKey, InconclusiveError
+from zetakit.summation import CompensatedSum
 
 TOLERANCES = (1e-13, 1e-9, 1e-4, 1e-2)
 
 FAMILY_IDS = [e.id for e in catalog.registry().values() if e.verifiable and e.is_family]
+
+# Each family sums zeta(2n) C(2n + top, lower(param)) / (n inv_pow^n), times
+# (1 - 4^-n) when weighted (Eqs. 21, 28, 29, 37, 38).
+FAMILY_SHAPES = {
+    "THM_21": (0, lambda m: m, 4, False),
+    "SUM_28": (1, lambda k: 2 * k, 4, False),
+    "THM_29": (0, lambda m: m, 16, False),
+    "SUM_37": (0, lambda k: 2 * k, 4, True),
+    "SUM_38": (0, lambda k: 2 * k + 1, 4, True),
+}
+
+
+class Reference:
+    """Terms and tails of one key, each term from term_fn (cached per n)."""
+
+    def __init__(self, key):
+        self.key = key
+        self.entry = catalog.get(key.id)
+        self._terms = {}
+
+    def term(self, n):
+        if n not in self._terms:
+            self._terms[n] = self.entry.term_fn(self.key.param, n)
+        return self._terms[n]
+
+    def _cap(self, n):
+        # bounds |t(j+1)/t(j)| for j >= n; the float expression the library uses
+        top_offset, lower, inv_pow, weighted = FAMILY_SHAPES[self.key.id]
+        m, top = lower(self.key.param), 2 * n + top_offset
+        cap = (1.0 / inv_pow) * (top + 2) * (top + 1) / ((top + 2 - m) * (top + 1 - m))
+        if weighted:
+            cap *= (1.0 - 4.0 ** (-(n + 1))) / (1.0 - 4.0 ** (-n))
+        return cap
+
+    def tails(self, N):
+        """Tails at N, N+1, ..., M-1; M is the first n > N with a nonzero term
+        whose cap is at most q* (1/2, or 1/5 for the 16^-n family)."""
+        if not self.entry.is_family:
+            return [self.entry.tail_fn(self.key.param, N)]
+        q_star = 0.2 if FAMILY_SHAPES[self.key.id][2] == 16 else 0.5
+        n = N + 1
+        while not (self.term(n) != 0.0 and self._cap(n) <= q_star):
+            n += 1
+        tails = [abs(self.term(n)) / (1.0 - self._cap(n))]
+        for j in range(n - 1, N, -1):
+            tails.append(abs(self.term(j)) + tails[-1])
+        return tails[::-1]
+
+    def closure_point(self):
+        start = self.entry.start_index
+        return start + len(self.tails(start))
+
+    def steps(self):
+        """(n, term(n), tail(n)) for n = start_index, start_index + 1, ..."""
+        n = self.entry.start_index
+        while True:
+            for tail in self.tails(n):
+                yield n, self.term(n), tail
+                n += 1
+
+    def evaluate(self, tolerance):
+        """(depth, value, bound): a linear scan of the tails, then a
+        compensated sum of term_fn up to the first depth that clears tol/2."""
+        offset = self.entry.offset_fn(self.key.param) if self.entry.offset_fn else 0.0
+        scale = self.entry.scale_fn(self.key.param) if self.entry.scale_fn else 1.0
+        for n, _, tail in self.steps():
+            bound = abs(scale) * (tail + catalog.TAIL_FLOOR)
+            if bound <= tolerance / 2:
+                break
+        acc = CompensatedSum()
+        for j in range(self.entry.start_index, n + 1):
+            acc.add(self.term(j))
+        return n, offset + scale * acc.value, bound
 
 
 def _keys():
@@ -37,12 +119,6 @@ def _linear_scan(key, tolerance):
     return n
 
 
-def _closure_point(key):
-    # the suffix table from start_index runs up to the geometric closure
-    entry = catalog.get(key.id)
-    return entry.start_index + len(entry.tails_fn(key.param, entry.start_index))
-
-
 @pytest.mark.parametrize("key", _keys(), ids=CatalogKey.label)
 def test_depth_for_matches_linear_scan(key):
     for tol in TOLERANCES:
@@ -54,32 +130,78 @@ def test_family_tail_bound_is_exactly_non_increasing(id_):
     entry = catalog.get(id_)
     for p in (entry.param_min, 5, 12, 32):
         key = CatalogKey(id_, p)
-        closure = _closure_point(key)
+        closure = Reference(key).closure_point()
         bounds = [catalog.tail_bound(key, n) for n in range(entry.start_index, closure + 2)]
         assert all(b1 <= b0 for b0, b1 in zip(bounds, bounds[1:])), key.label()
 
 
 @pytest.mark.parametrize("id_", FAMILY_IDS)
 def test_family_suffix_table_matches_tail_fn(id_):
+    # one pass from start_index gives the same tails as a pass from each n
     entry = catalog.get(id_)
     key = CatalogKey(id_, 12)
     start = entry.start_index
-    table = entry.tails_fn(key.param, start)
-    assert table == [entry.tail_fn(key.param, start + i) for i in range(len(table))]
-    # past the closure point each table is the O(1) closure tail alone
-    assert len(entry.tails_fn(key.param, start + len(table))) == 1
+    length = Reference(key).closure_point() - start + 3
+    tails = [tail for _, tail in islice(entry.steps_fn(key.param, start), length)]
+    assert tails == [entry.tail_fn(key.param, start + i) for i in range(length)]
+
+
+@pytest.mark.parametrize("id_", FAMILY_IDS)
+def test_family_table_matches_term_fn_up_to_cap(id_):
+    # the recurrence's terms are term_fn's floats, bit for bit, and so are the
+    # tails built from them, through the closure point and two steps past it
+    entry = catalog.get(id_)
+    for p in range(entry.param_min, catalog._PARAM_CAP + 1):
+        ref = Reference(CatalogKey(id_, p))
+        length = ref.closure_point() - entry.start_index + 3
+        expected = [(t, tail) for _, t, tail in islice(ref.steps(), length)]
+        assert list(islice(entry.steps_fn(p, entry.start_index), length)) == expected, p
+
+
+# the tolerances and keys (every family parameter up to 64) of the depth rule's
+# original acceptance check: 347 keys x 8 tolerances = 2 776 pairs
+PAIR_TOLERANCES = (1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-7, 1e-4, 1e-2)
+
+
+def _keys_up_to(param_limit):
+    keys = []
+    for e in catalog.registry().values():
+        if not e.verifiable:
+            continue
+        if e.is_family:
+            keys.extend(CatalogKey(e.id, p) for p in range(e.param_min, param_limit + 1))
+        else:
+            keys.append(CatalogKey(e.id))
+    return keys
+
+
+def test_evaluate_equals_assembled_sum_at_depth_for():
+    pairs = [(key, tol) for key in _keys_up_to(64) for tol in PAIR_TOLERANCES]
+    assert len(pairs) == 2776
+    for key, tol in pairs:
+        res = catalog.evaluate(key, tol)
+        assert res == catalog.assembled_sum(key, catalog.depth_for(key, tol)), (key.label(), tol)
 
 
 @pytest.mark.parametrize("key", [CatalogKey("RZS_ONE"), CatalogKey("ZETA3_EWELL_16"),
-                                 CatalogKey("THM_21", 5), CatalogKey("SUM_37", 3)],
+                                 CatalogKey("ZETA3_APERY_14"), CatalogKey("THM_21", 5),
+                                 CatalogKey("SUM_37", 3), CatalogKey("SUM_38", 64)],
                          ids=CatalogKey.label)
 def test_depth_for_term_cap(key, monkeypatch):
-    depth = catalog.depth_for(key, 1e-10)
-    monkeypatch.setenv("ZETAKIT_MAX_TERMS", str(depth))
-    assert catalog.depth_for(key, 1e-10) == depth
-    monkeypatch.setenv("ZETAKIT_MAX_TERMS", str(depth - 1))
-    with pytest.raises(InconclusiveError):
-        catalog.depth_for(key, 1e-10)
+    # both raise exactly when the cap is below the reference depth
+    start = catalog.get(key.id).start_index
+    for tol in PAIR_TOLERANCES:
+        depth, _, _ = Reference(key).evaluate(tol)
+        for cap in range(max(1, depth - 2), depth + 2):
+            monkeypatch.setenv("ZETAKIT_MAX_TERMS", str(cap))
+            if cap < depth:
+                with pytest.raises(InconclusiveError):
+                    catalog.depth_for(key, tol)
+                with pytest.raises(InconclusiveError):
+                    catalog.evaluate(key, tol)
+            else:
+                assert catalog.depth_for(key, tol) == depth
+                assert catalog.evaluate(key, tol).terms_used == depth - start + 1
 
 
 def test_depth_for_inconclusive_under_small_cap(monkeypatch):
@@ -87,9 +209,45 @@ def test_depth_for_inconclusive_under_small_cap(monkeypatch):
     for key in (CatalogKey("ZETA3_EWELL_16"), CatalogKey("SUM_28", 32)):
         with pytest.raises(InconclusiveError, match="4-term cap"):
             catalog.depth_for(key, 1e-10)
+        with pytest.raises(InconclusiveError, match="4-term cap"):
+            catalog.evaluate(key, 1e-10)
 
 
 @pytest.mark.parametrize("tol", [1e-14, 1e-20, 0.0, -1.0, math.nan, math.inf, -math.inf])
 def test_depth_for_rejects_bad_tolerance(tol):
     with pytest.raises(ValueError):
         catalog.depth_for(CatalogKey("ZETA3_APERY_14"), tol)
+    with pytest.raises(ValueError):
+        catalog.evaluate(CatalogKey("THM_21", 3), tol)
+
+
+def _reference_reports(tolerance, param_limit):
+    """verify_all's reports, built from Reference alone: citation order, the
+    printed variant of a corrected entry once, at its first key."""
+    reports = []
+    for key in _keys_up_to(param_limit):
+        ref = Reference(key)
+        n, lhs, bound = ref.evaluate(tolerance)
+        # the library's bound at the chosen depth and the one before it
+        scale = abs(ref.entry.scale_fn(key.param)) if ref.entry.scale_fn else 1.0
+        assert scale * catalog.tail_bound(key, n) == bound
+        if n > ref.entry.start_index:
+            assert scale * catalog.tail_bound(key, n - 1) > tolerance / 2
+        variants = [("corrected", catalog.closed_form(key))]
+        if ref.entry.status == "corrected" and key.param in (None, ref.entry.param_min):
+            variants.append(("printed", catalog.printed_closed_form(key)))
+        for variant, rhs in variants:
+            err = abs(lhs - rhs)
+            rel = err / abs(rhs) if rhs != 0.0 else math.inf
+            reports.append(verifier.VerificationReport(
+                key, lhs, rhs, err, rel, n - ref.entry.start_index + 1, tolerance, variant,
+                err <= tolerance + bound))
+    return reports
+
+
+@pytest.mark.parametrize("tolerance, param_limit", [(1e-10, 12), (1e-13, 64)])
+def test_verify_all_report_matches_reference(tolerance, param_limit):
+    # the byte-identity gate: the JSON report of `zetakit verify --all` at the
+    # defaults and at the tolerance floor with the CLI's largest param limit
+    expected = verifier.reports_to_json(_reference_reports(tolerance, param_limit))
+    assert verifier.reports_to_json(verifier.verify_all(tolerance, param_limit)) == expected
