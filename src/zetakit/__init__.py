@@ -37,11 +37,13 @@ from .catalog import (
     CatalogKey,
     IdentityDescriptor,
     assembled_sum,
+    assembly,
     closed_form,
     depth_for,
     evaluate,
     list_identities,
     partial_sum,
+    partial_sums,
     printed_closed_form,
     registry,
     tail_bound,

@@ -1,9 +1,10 @@
 """Machine-readable registry of the catalogued series identities.
 
-Every entry carries a term generator, a closed form, and a rigorous tail
-bound.  Identities whose sum only yields the target constant after an affine
-step (the zeta(3) family) also carry offset/scale so callers can assemble
-`offset + scale * partial_sum`.
+Every summable entry carries a term generator, a closed form, and one stream
+of (term, rigorous tail bound) pairs, from which every catalogued sum here is
+taken.  Identities whose sum only yields the target constant after an affine
+step (the zeta(3) family) also carry offset/scale, which `assembly` returns,
+so callers can assemble `offset + scale * partial_sum`.
 
 Status semantics: "as-printed" entries verify against their published right
 hand side; "corrected" entries store both the published variant (which fails,
@@ -47,11 +48,14 @@ __all__ = [
     "closed_form",
     "printed_closed_form",
     "partial_sum",
+    "partial_sums",
+    "assembly",
     "assembled_sum",
     "tail_bound",
     "depth_for",
     "evaluate",
     "max_terms",
+    "PARAM_CAP",
     "InconclusiveError",
     "STATUSES",
 ]
@@ -60,7 +64,6 @@ STATUSES = ("as-printed", "corrected", "representation")
 
 TermFn = Callable[[Optional[int], int], float]
 ClosedFn = Callable[[Optional[int]], float]
-TailFn = Callable[[Optional[int], int], float]
 StepsFn = Callable[[Optional[int], int], Iterator[tuple[float, float]]]
 
 
@@ -89,8 +92,8 @@ class IdentityDescriptor:
     term_fn: TermFn | None = None
     closed_fn: ClosedFn | None = None
     printed_closed_fn: ClosedFn | None = None
-    tail_fn: TailFn | None = None
-    # steps_fn(param, N) yields (term_fn(param, n), tail_fn(param, n)) for n = N, N+1, ...
+    # steps_fn(param, N) yields (term_fn(param, n), tail(n)) for n = N, N+1, ..., where
+    # tail(n) bounds |sum_{j>n} term_fn(param, j)|
     steps_fn: StepsFn | None = None
     offset_fn: ClosedFn | None = None  # assembled = offset + scale * series
     scale_fn: ClosedFn | None = None
@@ -215,6 +218,25 @@ def _f(x: float) -> ClosedFn:
     return lambda _param: x
 
 
+def _series(
+    id: str,
+    paper_eq: str,
+    description: str,
+    term_fn: TermFn,
+    tail: Callable[[int], float],
+    *,
+    status: str = "as-printed",
+    **fields,
+) -> IdentityDescriptor:
+    """A scalar entry: each term from term_fn, each tail from the O(1) bound tail(N)."""
+
+    def steps_fn(param: int | None, N: int) -> Iterator[tuple[float, float]]:
+        return ((term_fn(param, n), tail(n)) for n in count(N))
+
+    return IdentityDescriptor(id=id, paper_eq=paper_eq, status=status, description=description,
+                              term_fn=term_fn, steps_fn=steps_fn, **fields)
+
+
 def _scalar_entry(
     id: str,
     paper_eq: str,
@@ -222,33 +244,14 @@ def _scalar_entry(
     *,
     p: Callable[[int], float],
     ratio: float,
-    closed_fn: ClosedFn,
-    start_index: int = 1,
     minus_one: bool = False,
-    status: str = "as-printed",
-    printed_closed_fn: ClosedFn | None = None,
-    offset_fn: ClosedFn | None = None,
-    scale_fn: ClosedFn | None = None,
-    targets: tuple[str, ...] = (),
+    **fields,
 ) -> IdentityDescriptor:
     if minus_one:
         tail = _poly_geom_tail(p, ratio / 4.0, 2.0)
     else:
         tail = _poly_geom_tail(p, ratio, ZETA2)
-    return IdentityDescriptor(
-        id=id,
-        paper_eq=paper_eq,
-        status=status,
-        description=description,
-        start_index=start_index,
-        targets=targets,
-        term_fn=_zeta_ratio_term(p, ratio, minus_one),
-        closed_fn=closed_fn,
-        printed_closed_fn=printed_closed_fn,
-        tail_fn=lambda _param, N: tail(N),
-        offset_fn=offset_fn,
-        scale_fn=scale_fn,
-    )
+    return _series(id, paper_eq, description, _zeta_ratio_term(p, ratio, minus_one), tail, **fields)
 
 
 def _binom_family(
@@ -326,7 +329,6 @@ def _binom_family(
         term_fn=term_fn,
         closed_fn=closed_fn,
         printed_closed_fn=printed_closed_fn,
-        tail_fn=lambda param, N: next(steps_fn(param, N))[1],
         steps_fn=steps_fn,
     )
 
@@ -380,11 +382,6 @@ def _sum38_closed(k: int | None) -> float:
 def _apery_term(_param: int | None, n: int) -> float:
     value = 1 / (n ** 3 * math.comb(2 * n, n))
     return value if n % 2 == 1 else -value
-
-
-def _apery_tail(_param: int | None, N: int) -> float:
-    # alternating with strictly decreasing magnitudes: first omitted term
-    return abs(_apery_term(None, N + 1))
 
 
 def _representation(id: str, paper_eq: str, description: str) -> IdentityDescriptor:
@@ -443,15 +440,15 @@ def _build_registry() -> dict[str, IdentityDescriptor]:
         scale_fn=_f(4.0 * math.pi ** 2 / 9.0),
         targets=("zeta3",),
     ))
-    entries.append(IdentityDescriptor(
-        id="ZETA3_APERY_14", paper_eq="Eq. (14)", status="as-printed",
-        description="zeta(3) = (5/2) sum_{n>=1} (-1)^(n-1) / (n^3 C(2n, n))",
-        start_index=1, targets=("zeta3",),
-        term_fn=_apery_term,
+    entries.append(_series(
+        "ZETA3_APERY_14", "Eq. (14)",
+        "zeta(3) = (5/2) sum_{n>=1} (-1)^(n-1) / (n^3 C(2n, n))",
+        _apery_term,
+        # alternating with strictly decreasing magnitudes: first omitted term
+        lambda N: abs(_apery_term(None, N + 1)),
         closed_fn=lambda _p: _const_zeta3(),
-        tail_fn=_apery_tail,
-        offset_fn=None,
         scale_fn=_f(2.5),
+        targets=("zeta3",),
     ))
     entries.append(_scalar_entry(
         "ZETA3_CK_15", "Eq. (15)",
@@ -518,29 +515,26 @@ def _build_registry() -> dict[str, IdentityDescriptor]:
     ))
 
     # rational zeta series over zeta(n, 2) = zeta(n) - 1 (reindexed to n >= 1)
-    entries.append(IdentityDescriptor(
-        id="RZS_ONE", paper_eq="Sec. 2.2", status="as-printed",
-        description="sum_{m>=2} (zeta(m) - 1) = 1",
-        start_index=1,
-        term_fn=lambda _p, n: zeta_minus_one(float(n + 1)).value,
+    entries.append(_series(
+        "RZS_ONE", "Sec. 2.2",
+        "sum_{m>=2} (zeta(m) - 1) = 1",
+        lambda _p, n: zeta_minus_one(float(n + 1)).value,
+        lambda N: 2.0 ** (-N),
         closed_fn=_f(1.0),
-        tail_fn=lambda _p, N: 2.0 ** (-N),
     ))
-    entries.append(IdentityDescriptor(
-        id="RZS_GAMMA", paper_eq="Sec. 2.2", status="as-printed",
-        description="sum_{m>=2} (zeta(m) - 1)/m = 1 - gamma",
-        start_index=1,
-        term_fn=lambda _p, n: zeta_minus_one(float(n + 1)).value / (n + 1),
+    entries.append(_series(
+        "RZS_GAMMA", "Sec. 2.2",
+        "sum_{m>=2} (zeta(m) - 1)/m = 1 - gamma",
+        lambda _p, n: zeta_minus_one(float(n + 1)).value / (n + 1),
+        lambda N: 2.0 ** (-N) / (N + 3),
         closed_fn=lambda _p: 1.0 - _const_gamma(),
-        tail_fn=lambda _p, N: 2.0 ** (-N) / (N + 3),
     ))
-    entries.append(IdentityDescriptor(
-        id="RZS_LOG2", paper_eq="Sec. 2.2", status="as-printed",
-        description="sum_{n>=1} (zeta(2n) - 1)/n = log 2",
-        start_index=1,
-        term_fn=lambda _p, n: zeta_even_m1_float(n) / n,
+    entries.append(_series(
+        "RZS_LOG2", "Sec. 2.2",
+        "sum_{n>=1} (zeta(2n) - 1)/n = log 2",
+        lambda _p, n: zeta_even_m1_float(n) / n,
+        lambda N: (2.0 / 3.0) * 4.0 ** (-N) / (N + 1),
         closed_fn=lambda _p: math.log(2.0),
-        tail_fn=lambda _p, N: (2.0 / 3.0) * 4.0 ** (-N) / (N + 1),
     ))
 
     entries.append(_binom_family(
@@ -696,7 +690,7 @@ def list_identities() -> list[IdentitySummary]:
     return out
 
 
-_PARAM_CAP = 256  # keeps binomial coefficients comfortably inside float range
+PARAM_CAP = 256  # keeps binomial coefficients comfortably inside float range
 
 _DEFAULT_MAX_TERMS = 1_000_000
 
@@ -728,9 +722,9 @@ def _resolve(key: CatalogKey) -> tuple[IdentityDescriptor, int | None]:
     if entry.is_family:
         if key.param is None:
             raise ValueError(f"{key.id} needs parameter {entry.param_name}")
-        if not (entry.param_min <= key.param <= _PARAM_CAP):
+        if not (entry.param_min <= key.param <= PARAM_CAP):
             raise ValueError(
-                f"{key.id} parameter {entry.param_name} must be in [{entry.param_min}, {_PARAM_CAP}]"
+                f"{key.id} parameter {entry.param_name} must be in [{entry.param_min}, {PARAM_CAP}]"
             )
         return entry, key.param
     if key.param is not None:
@@ -769,13 +763,25 @@ def tail_bound(key: CatalogKey, N: int) -> float:
     entry, param = _resolve(key)
     if N < entry.start_index:
         raise ValueError(f"N must be >= start index {entry.start_index}")
-    return entry.tail_fn(param, N) + TAIL_FLOOR
+    return next(entry.steps_fn(param, N))[1] + TAIL_FLOOR
 
 
-def _assembly(entry: IdentityDescriptor, param: int | None) -> tuple[float, float]:
+def assembly(key: CatalogKey) -> tuple[float, float]:
+    """(offset, scale) with assembled = offset + scale * bare series; (0, 1) for a bare series."""
+    entry, param = _resolve(key)
     offset = entry.offset_fn(param) if entry.offset_fn is not None else 0.0
     scale = entry.scale_fn(param) if entry.scale_fn is not None else 1.0
     return offset, scale
+
+
+def partial_sums(key: CatalogKey) -> Iterator[tuple[int, float, float]]:
+    """(N, compensated bare sum of terms start_index..N, tail_bound(key, N))
+    for N = start_index, start_index + 1, ...; each term is evaluated once."""
+    entry, param = _resolve(key)
+    acc = CompensatedSum()
+    for n, (t, tail) in enumerate(entry.steps_fn(param, entry.start_index), entry.start_index):
+        acc.add(t)
+        yield n, acc.value, tail + TAIL_FLOOR
 
 
 def evaluate(key: CatalogKey, tolerance: float) -> EvalResult:
@@ -785,29 +791,25 @@ def evaluate(key: CatalogKey, tolerance: float) -> EvalResult:
     |scale| * tail_bound(key, N) <= tolerance / 2, where scale is the
     assembly factor (1 for a bare series).  A tolerance that is not finite
     or is below 1e-13 is a ValueError; InconclusiveError is raised when no
-    N up to max_terms() qualifies.
+    N within the first max_terms() terms qualifies.
     """
     if not (math.isfinite(tolerance) and tolerance >= 1e-13):
         raise ValueError("tolerance must be finite and >= 1e-13")
     entry, param = _resolve(key)
-    offset, scale = _assembly(entry, param)
+    offset, scale = assembly(key)
     size = abs(scale)
-    start = entry.start_index
-    if entry.steps_fn is not None:  # a family reads terms and tails from one pass
-        steps = entry.steps_fn(param, start)
-    else:  # a scalar entry evaluates each term and its O(1) tail
-        steps = ((entry.term_fn(param, n), entry.tail_fn(param, n)) for n in count(start))
     cap = max_terms()
     acc = CompensatedSum()
-    for n, (t, tail) in enumerate(steps, start):
-        if n > cap:
+    # partial_sums' loop, inlined: this scan is nearly all of verify_all's time
+    for terms, (t, tail) in enumerate(entry.steps_fn(param, entry.start_index), 1):
+        if terms > cap:
             raise InconclusiveError(
                 f"{key.label()}: tail bound still above {tolerance/2:g} at the {cap}-term cap"
             )
         acc.add(t)
         bound = size * (tail + TAIL_FLOOR)
         if bound <= 0.5 * tolerance:
-            return EvalResult(offset + scale * acc.value, n - start + 1, bound)
+            return EvalResult(offset + scale * acc.value, terms, bound)
 
 
 def depth_for(key: CatalogKey, tolerance: float) -> int:
@@ -821,23 +823,15 @@ def depth_for(key: CatalogKey, tolerance: float) -> int:
 
 def partial_sum(key: CatalogKey, N: int) -> EvalResult:
     """Compensated bare-series sum of terms start_index..N with its tail bound."""
-    entry, param = _resolve(key)
-    if N < entry.start_index:
-        raise ValueError(f"N must be >= start index {entry.start_index}")
-    acc = CompensatedSum()
-    if entry.steps_fn is None:
-        for n in range(entry.start_index, N + 1):
-            acc.add(entry.term_fn(param, n))
-        tail = entry.tail_fn(param, N)
-    else:  # the pass that gives the terms also gives the tail at N
-        for t, tail in islice(entry.steps_fn(param, entry.start_index), N - entry.start_index + 1):
-            acc.add(t)
-    return EvalResult(acc.value, N - entry.start_index + 1, tail + TAIL_FLOOR)
+    start = _resolve(key)[0].start_index
+    if N < start:
+        raise ValueError(f"N must be >= start index {start}")
+    _, value, bound = next(islice(partial_sums(key), N - start, None))
+    return EvalResult(value, N - start + 1, bound)
 
 
 def assembled_sum(key: CatalogKey, N: int) -> EvalResult:
     """offset + scale * partial_sum(N): the identity's left-hand side at depth N."""
-    entry, param = _resolve(key)
     bare = partial_sum(key, N)
-    offset, scale = _assembly(entry, param)
+    offset, scale = assembly(key)
     return EvalResult(offset + scale * bare.value, bare.terms_used, abs(scale) * bare.error_bound)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 
 from . import catalog, convergence, verifier
 from .catalog import CatalogKey
@@ -24,7 +24,7 @@ from .specfun import (
     zeta_e_weighted,
 )
 
-__all__ = ["main", "build_parser", "CliConfig"]
+__all__ = ["main", "build_parser"]
 
 CONSTANTS = ("zeta", "zeta3", "catalan", "gamma", "beta", "cl2", "zetaE")
 
@@ -36,20 +36,20 @@ ZETA3_METHOD_ALIASES = {
 ZETA3_METHOD_IDS = tuple(e.id for e in catalog.registry().values() if "zeta3" in e.targets)
 
 
-@dataclass
-class CliConfig:
-    tolerance: float = 1e-10
-    param_limit: int = 12
-    format: str = "text"
-    out: str | None = None
+def _bounded(kind: type, lo: float, hi: float, name: str):
+    """An argparse type that parses with kind and accepts [lo, hi] only."""
 
-    def validate(self) -> None:
-        if not (1e-13 <= self.tolerance <= 1e-2):
-            raise ValueError("tolerance must be in [1e-13, 1e-2]")
-        if not (1 <= self.param_limit <= 64):
-            raise ValueError("param-limit must be in [1, 64]")
-        if self.format not in ("csv", "json", "markdown", "text"):
-            raise ValueError(f"unknown format {self.format!r}")
+    def parse(text: str):
+        value = kind(text)
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"{name} must be in [{lo:g}, {hi:g}]")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_tolerance = _bounded(float, 1e-13, 1e-2, "tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--method", default=None,
                            help="zeta3: catalog id, apery/ewell/cvijovic-klinowski, or direct; "
                                 "cl2: direct/accel/peeled/wzl/auto")
-    p_compute.add_argument("--tol", type=float, default=1e-10)
+    p_compute.add_argument("--tol", type=_tolerance, default=1e-10)
 
     p_verify = sub.add_parser("verify", help="verify catalogued identities")
     group = p_verify.add_mutually_exclusive_group(required=True)
@@ -75,14 +75,14 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--id", dest="id", default=None)
     p_verify.add_argument("--m", type=int, default=None, help="family parameter m")
     p_verify.add_argument("--k", type=int, default=None, help="family parameter k")
-    p_verify.add_argument("--tol", type=float, default=1e-10)
-    p_verify.add_argument("--param-limit", type=int, default=12)
+    p_verify.add_argument("--tol", type=_tolerance, default=1e-10)
+    p_verify.add_argument("--param-limit", type=_bounded(int, 1, 64, "param-limit"), default=12)
     p_verify.add_argument("--format", default="text", choices=("text", "json"))
     p_verify.add_argument("--out", default=None)
 
     p_conv = sub.add_parser("converge", help="rank identities by convergence speed")
     p_conv.add_argument("--target", default="zeta3", choices=convergence.COMPARE_TARGETS)
-    p_conv.add_argument("--tol", type=float, default=1e-10)
+    p_conv.add_argument("--tol", type=_tolerance, default=1e-10)
     p_conv.add_argument("--format", default="csv", choices=("csv", "json", "markdown"))
     p_conv.add_argument("--out", default=None)
 
@@ -117,15 +117,13 @@ def _compute_zeta3(method: str | None, tol: float) -> EvalResult:
 
 
 def _cmd_compute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    tol = args.tol
     try:
-        CliConfig(tolerance=tol).validate()
         if args.constant == "zeta":
             if args.value is None:
                 raise ValueError("compute zeta needs an argument s")
             res = riemann_zeta(float(args.value))
         elif args.constant == "zeta3":
-            res = _compute_zeta3(args.method, tol)
+            res = _compute_zeta3(args.method, args.tol)
         elif args.constant == "catalan":
             res = catalan()
         elif args.constant == "gamma":
@@ -155,25 +153,20 @@ def _cmd_compute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    cfg = CliConfig(tolerance=args.tol, param_limit=args.param_limit, format=args.format, out=args.out)
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        parser.error(str(exc))
     try:
         if args.all_ids:
-            reports = verifier.verify_all(cfg.tolerance, cfg.param_limit)
+            reports = verifier.verify_all(args.tol, args.param_limit)
         else:
             param = args.m if args.m is not None else args.k
             key = CatalogKey(args.id, param)
             try:
-                reports = verifier.verify(key, cfg.tolerance)
+                reports = verifier.verify(key, args.tol)
             except catalog.InconclusiveError:
-                reports = [verifier.inconclusive_report(key, cfg.tolerance)]
+                reports = [verifier.inconclusive_report(key, args.tol)]
     except (KeyError, ValueError) as exc:
         parser.error(str(exc))
-    text = verifier.reports_to_json(reports) if cfg.format == "json" else verifier.reports_to_text(reports)
-    _emit(text, cfg.out)
+    text = verifier.reports_to_json(reports) if args.format == "json" else verifier.reports_to_text(reports)
+    _emit(text, args.out)
     if any(r.inconclusive for r in reports):
         return 3
     if any(not r.passed and r.variant != "printed" for r in reports):
@@ -182,38 +175,21 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 
 def _cmd_converge(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    cfg = CliConfig(tolerance=args.tol, format=args.format, out=args.out)
     try:
-        cfg.validate()
-    except ValueError as exc:
-        parser.error(str(exc))
-    try:
-        table = convergence.compare(args.target, cfg.tolerance)
+        table = convergence.compare(args.target, args.tol)
     except catalog.InconclusiveError as exc:
         print(str(exc), file=sys.stderr)
         return 3
     except ValueError as exc:
         parser.error(str(exc))
-    _emit(convergence.export(table, cfg.format), cfg.out)
+    _emit(convergence.export(table, args.format), args.out)
     return 0
 
 
 def _cmd_list(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     summaries = catalog.list_identities()
     if args.format == "json":
-        text = json.dumps(
-            [
-                {
-                    "id": s.id,
-                    "paper_eq": s.paper_eq,
-                    "status": s.status,
-                    "params": s.params,
-                    "description": s.description,
-                }
-                for s in summaries
-            ],
-            indent=2,
-        )
+        text = json.dumps([asdict(s) for s in summaries], indent=2)
     else:
         width = max(len(s.id) for s in summaries)
         text = "\n".join(

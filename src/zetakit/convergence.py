@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 from . import catalog
 from .catalog import CatalogKey, InconclusiveError, max_terms
-from .summation import CompensatedSum
 
 __all__ = ["ConvergenceProfile", "profile", "compare", "export", "COMPARE_TARGETS"]
 
@@ -30,20 +29,13 @@ class ConvergenceProfile:
 
 def _scan_to_tolerance(key: CatalogKey, target: float, tolerance: float) -> tuple[int, float]:
     """Least summation depth N with |assembled(N) - target| <= tolerance."""
-    entry = catalog.get(key.id)
-    offset = entry.offset_fn(key.param) if entry.offset_fn is not None else 0.0
-    scale = entry.scale_fn(key.param) if entry.scale_fn is not None else 1.0
-    start = entry.start_index
+    offset, scale = catalog.assembly(key)
     cap = max_terms()
-    acc = CompensatedSum()
-    n = start
-    while True:
-        acc.add(entry.term_fn(key.param, n))
-        err = abs(offset + scale * acc.value - target)
+    for terms, (n, value, _) in enumerate(catalog.partial_sums(key), 1):
+        err = abs(offset + scale * value - target)
         if err <= tolerance:
             return n, err
-        n += 1
-        if n - start >= cap:
+        if terms >= cap:
             raise InconclusiveError(f"{key.label()}: tolerance {tolerance:g} not reached at the {cap}-term cap")
 
 
@@ -78,8 +70,8 @@ def compare(target: str, tolerance: float) -> list[ConvergenceProfile]:
 
     "zeta3" selects the nine zeta(3) representations; "catalan-relations"
     the identities whose closed form is built on G; "all" every scalar
-    identity in the registry.  Rows are sorted by terms_needed, ties by
-    wall time.
+    identity in the registry.  Rows are sorted by terms_needed; the sort is
+    stable, so ties keep citation order.
     """
     if target not in COMPARE_TARGETS:
         raise ValueError(f"unknown target {target!r}; expected one of {COMPARE_TARGETS}")
@@ -90,7 +82,7 @@ def compare(target: str, tolerance: float) -> list[ConvergenceProfile]:
         if target != "all" and target not in entry.targets:
             continue
         rows.append(profile(CatalogKey(entry.id), tolerance))
-    rows.sort(key=lambda r: (r.terms_needed, r.wall_time_ns))
+    rows.sort(key=lambda r: r.terms_needed)
     return rows
 
 

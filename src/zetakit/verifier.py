@@ -116,8 +116,8 @@ def verify_all(tolerance: float, param_limit: int) -> list[VerificationReport]:
     order of this list is the citation order regardless of how callers
     schedule the work.
     """
-    if not (1 <= param_limit <= catalog._PARAM_CAP):
-        raise ValueError(f"param_limit must be in [1, {catalog._PARAM_CAP}]")
+    if not (1 <= param_limit <= catalog.PARAM_CAP):
+        raise ValueError(f"param_limit must be in [1, {catalog.PARAM_CAP}]")
     reports: list[VerificationReport] = []
     for entry in catalog.registry().values():
         if not entry.verifiable:
@@ -222,24 +222,25 @@ def _cl2(theta: float) -> float:
     return clausen_cl2(theta, "auto").value
 
 
-# integral identity id -> (integrand id, rhs as a function of theta)
-_INTEGRAL_IDENTITIES: dict[str, tuple[str, Callable[[float], float]]] = {
+# integral identity id -> (integrand id, sign, rhs as a function of theta):
+# sign * int_0^theta integrand = rhs(theta)
+_INTEGRAL_IDENTITIES: dict[str, tuple[str, float, Callable[[float], float]]] = {
     # int_0^theta log sin = -Cl2(2 theta)/2 - theta log 2
-    "INT_LOG_SIN": ("log_sin", lambda t: -0.5 * _cl2(2.0 * t) - t * math.log(2.0)),
+    "INT_LOG_SIN": ("log_sin", 1.0, lambda t: -0.5 * _cl2(2.0 * t) - t * math.log(2.0)),
     # int_0^theta log|cos| = +Cl2(pi - 2 theta)/2 - theta log 2.  The
     # published display carries a minus sign on the Cl2 term, which fails
     # numerically and contradicts d/dt Cl2(pi - 2t) = 2 log(2 cos t); the
     # corrected sign is used here.
-    "INT_LOG_COS": ("log_cos", lambda t: 0.5 * _cl2(math.pi - 2.0 * t) - t * math.log(2.0)),
+    "INT_LOG_COS": ("log_cos", 1.0, lambda t: 0.5 * _cl2(math.pi - 2.0 * t) - t * math.log(2.0)),
     # int_0^theta log(1 + cos) = 2 Cl2(pi - theta) - theta log 2
-    "INT_LOG_ONE_PLUS_COS": ("log_one_plus_cos", lambda t: 2.0 * _cl2(math.pi - t) - t * math.log(2.0)),
+    "INT_LOG_ONE_PLUS_COS": ("log_one_plus_cos", 1.0, lambda t: 2.0 * _cl2(math.pi - t) - t * math.log(2.0)),
     # int_0^theta log(1 + sin) = 2G - 2 Cl2(pi/2 + theta) - theta log 2
     "INT_LOG_ONE_PLUS_SIN": (
-        "log_one_plus_sin",
+        "log_one_plus_sin", 1.0,
         lambda t: 2.0 * catalan().value - 2.0 * _cl2(math.pi / 2 + t) - t * math.log(2.0),
     ),
     # Cl2(theta) = -int_0^theta log(2 sin(x/2))
-    "CL2_INTEGRAL": ("log_two_sin_half", None),  # type: ignore[dict-item]
+    "CL2_INTEGRAL": ("log_two_sin_half", -1.0, _cl2),
 }
 
 INTEGRAL_IDENTITY_IDS = tuple(_INTEGRAL_IDENTITIES)
@@ -252,22 +253,19 @@ def verify_integral_identity(
 ) -> VerificationReport:
     """Check one log-trig integral identity on the theta grid.
 
-    The report carries the worst grid point: lhs is the quadrature value,
-    rhs the Cl2-based closed form, and the pass criterion allows the summed
+    The report carries the worst grid point: lhs is the quadrature value
+    times the identity's sign, rhs the Cl2-based closed form, and the pass criterion allows the summed
     quadrature error estimate on top of the tolerance.
     """
     if id not in _INTEGRAL_IDENTITIES:
         raise ValueError(f"unknown integral identity {id!r}")
-    integrand_id, rhs_fn = _INTEGRAL_IDENTITIES[id]
+    integrand_id, sign, rhs_fn = _INTEGRAL_IDENTITIES[id]
     worst = None
     evals = 0
     for t in thetas:
         q = quadrature(integrand_id, 0.0, t)
         evals += q.evaluations
-        if id == "CL2_INTEGRAL":
-            lhs, rhs = -q.value, _cl2(t)
-        else:
-            lhs, rhs = q.value, rhs_fn(t)
+        lhs, rhs = sign * q.value, rhs_fn(t)
         err = abs(lhs - rhs)
         if worst is None or err > worst[0]:
             worst = (err, lhs, rhs, q.error_estimate)

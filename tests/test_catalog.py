@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -110,6 +111,31 @@ def test_partial_sum_examples():
     assert abs(apery.value - riemann_zeta(3.0).value * 0.4) <= 1e-12
     log2 = catalog.partial_sum(CatalogKey("RZS_LOG2"), 40)
     assert abs(log2.value - math.log(2.0)) <= 1e-11
+
+
+@pytest.mark.parametrize("key", [CatalogKey("ZETA3_CK_15"), CatalogKey("ZETA3_APERY_14"),
+                                 CatalogKey("RZS_GAMMA"), CatalogKey("SUM_28", 3),
+                                 CatalogKey("SUM_38", 0)], ids=CatalogKey.label)
+def test_partial_sums_stream(key):
+    # one pass gives every depth's partial sum and tail bound
+    start = catalog.get(key.id).start_index
+    offset, scale = catalog.assembly(key)
+    for i, (n, value, bound) in enumerate(islice(catalog.partial_sums(key), 12)):
+        assert n == start + i
+        res = catalog.partial_sum(key, n)
+        assert (value, bound, i + 1) == (res.value, res.error_bound, res.terms_used)
+        assert bound == catalog.tail_bound(key, n)
+        assert catalog.assembled_sum(key, n).value == offset + scale * value
+
+
+def test_assembly():
+    assert catalog.assembly(CatalogKey("SUM_23")) == (0.0, 1.0)
+    assert catalog.assembly(CatalogKey("THM_21", 4)) == (0.0, 1.0)
+    assert catalog.assembly(CatalogKey("ZETA3_APERY_14")) == (0.0, 2.5)
+    offset, scale = catalog.assembly(CatalogKey("ZETA3_17"))
+    assert scale == 4.0 * PI ** 2 / 35.0 and offset != 0.0
+    with pytest.raises(ValueError):
+        catalog.assembly(CatalogKey("CL2_ACCEL_8"))
 
 
 def test_assembled_sum_matches_closed_forms():

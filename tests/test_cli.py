@@ -79,6 +79,17 @@ def test_compute_inconclusive_exit_code(capsys, monkeypatch):
     assert "ZETA3_EWELL_16" in captured.err and "4-term cap" in captured.err
 
 
+def test_compute_term_cap_counts_terms(capsys, monkeypatch):
+    # Ewell's series starts at n = 0 and needs n = 0..14 at 1e-10: 15 terms
+    argv = ["compute", "zeta3", "--method", "ewell", "--tol", "1e-10"]
+    monkeypatch.setenv("ZETAKIT_MAX_TERMS", "14")
+    assert main(argv) == 3
+    assert "14-term cap" in capsys.readouterr().err
+    monkeypatch.setenv("ZETAKIT_MAX_TERMS", "15")
+    code, out = run(capsys, *argv)
+    assert code == 0 and "terms_used=15 " in out
+
+
 def test_verify_all_exit_and_annotations(capsys):
     code, out = run(capsys, "verify", "--all", "--tol", "1e-9")
     assert code == 0

@@ -64,6 +64,18 @@ def test_profile_inconclusive_under_cap(monkeypatch):
         profile(CatalogKey("RZS_ONE"), 1e-9)
 
 
+@pytest.mark.parametrize("id_", ["ZETA3_EWELL_16", "ZETA3_17"])
+def test_profile_term_cap_counts_terms(id_, monkeypatch):
+    # the cap is on the number of terms, for start-0 and start-1 series alike
+    key = CatalogKey(id_)
+    needed = profile(key, 1e-10).terms_needed
+    monkeypatch.setenv("ZETAKIT_MAX_TERMS", str(needed - 1))
+    with pytest.raises(InconclusiveError, match=f"{needed - 1}-term cap"):
+        profile(key, 1e-10)
+    monkeypatch.setenv("ZETAKIT_MAX_TERMS", str(needed))
+    assert profile(key, 1e-10).terms_needed == needed
+
+
 def test_compare_zeta3():
     rows = compare("zeta3", 1e-10)
     assert len(rows) == 9
@@ -77,6 +89,17 @@ def test_compare_zeta3():
         for slow in ("ZETA3_13", "ZETA3_CK_15", "ZETA3_EWELL_16"):
             assert terms[fast] < terms[slow]
     assert [p.terms_needed for p in rows] == sorted(p.terms_needed for p in rows)
+
+
+def test_compare_row_order_is_deterministic():
+    # ties in terms_needed keep citation order, whatever the timings
+    rows = compare("zeta3", 1e-10)
+    assert [p.key.id for p in compare("zeta3", 1e-10)] == [p.key.id for p in rows]
+    cited = list(catalog.registry())
+    for a, b in zip(rows, rows[1:]):
+        if a.terms_needed == b.terms_needed:
+            assert cited.index(a.key.id) < cited.index(b.key.id)
+    assert [p.key.id for p in rows if p.terms_needed == 6] == ["ZETA3_12", "ZETA3_17", "ZETA3_18"]
 
 
 def test_compare_other_targets():

@@ -57,7 +57,7 @@ class Reference:
         """Tails at N, N+1, ..., M-1; M is the first n > N with a nonzero term
         whose cap is at most q* (1/2, or 1/5 for the 16^-n family)."""
         if not self.entry.is_family:
-            return [self.entry.tail_fn(self.key.param, N)]
+            return [next(self.entry.steps_fn(self.key.param, N))[1]]
         q_star = 0.2 if FAMILY_SHAPES[self.key.id][2] == 16 else 0.5
         n = N + 1
         while not (self.term(n) != 0.0 and self._cap(n) <= q_star):
@@ -136,14 +136,14 @@ def test_family_tail_bound_is_exactly_non_increasing(id_):
 
 
 @pytest.mark.parametrize("id_", FAMILY_IDS)
-def test_family_suffix_table_matches_tail_fn(id_):
+def test_family_suffix_table_matches_stream_from_each_n(id_):
     # one pass from start_index gives the same tails as a pass from each n
     entry = catalog.get(id_)
     key = CatalogKey(id_, 12)
     start = entry.start_index
     length = Reference(key).closure_point() - start + 3
     tails = [tail for _, tail in islice(entry.steps_fn(key.param, start), length)]
-    assert tails == [entry.tail_fn(key.param, start + i) for i in range(length)]
+    assert tails == [next(entry.steps_fn(key.param, start + i))[1] for i in range(length)]
 
 
 @pytest.mark.parametrize("id_", FAMILY_IDS)
@@ -151,7 +151,7 @@ def test_family_table_matches_term_fn_up_to_cap(id_):
     # the recurrence's terms are term_fn's floats, bit for bit, and so are the
     # tails built from them, through the closure point and two steps past it
     entry = catalog.get(id_)
-    for p in range(entry.param_min, catalog._PARAM_CAP + 1):
+    for p in range(entry.param_min, catalog.PARAM_CAP + 1):
         ref = Reference(CatalogKey(id_, p))
         length = ref.closure_point() - entry.start_index + 3
         expected = [(t, tail) for _, t, tail in islice(ref.steps(), length)]
@@ -188,20 +188,22 @@ def test_evaluate_equals_assembled_sum_at_depth_for():
                                  CatalogKey("SUM_37", 3), CatalogKey("SUM_38", 64)],
                          ids=CatalogKey.label)
 def test_depth_for_term_cap(key, monkeypatch):
-    # both raise exactly when the cap is below the reference depth
+    # both raise exactly when the cap is below the number of terms the
+    # reference depth takes, start_index..depth
     start = catalog.get(key.id).start_index
     for tol in PAIR_TOLERANCES:
         depth, _, _ = Reference(key).evaluate(tol)
-        for cap in range(max(1, depth - 2), depth + 2):
+        terms = depth - start + 1
+        for cap in range(max(1, terms - 2), terms + 2):
             monkeypatch.setenv("ZETAKIT_MAX_TERMS", str(cap))
-            if cap < depth:
+            if cap < terms:
                 with pytest.raises(InconclusiveError):
                     catalog.depth_for(key, tol)
                 with pytest.raises(InconclusiveError):
                     catalog.evaluate(key, tol)
             else:
                 assert catalog.depth_for(key, tol) == depth
-                assert catalog.evaluate(key, tol).terms_used == depth - start + 1
+                assert catalog.evaluate(key, tol).terms_used == terms
 
 
 def test_depth_for_inconclusive_under_small_cap(monkeypatch):

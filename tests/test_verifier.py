@@ -111,7 +111,7 @@ def test_verify_all_rejects_param_limit_above_cap_before_work(monkeypatch):
 
     monkeypatch.setattr(verifier, "verify", no_verify)
     with pytest.raises(ValueError):
-        verify_all(1e-3, catalog._PARAM_CAP + 1)
+        verify_all(1e-3, catalog.PARAM_CAP + 1)
 
 
 def test_verify_all_report_count():
