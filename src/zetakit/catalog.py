@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import accumulate, count, islice
 from typing import Callable, Iterator, Optional
 
-from .exact import zeta_e_exact, zeta_even_exact
+from .exact import taylor_coeff
 from .specfun import (
     EvalResult,
     ZETA2,
@@ -333,50 +333,38 @@ def _binom_family(
     )
 
 
-def _zeta_even_coeff(m: int) -> Fraction:
-    # exact rational c with zeta(m) = c * pi^m, m even
-    return zeta_even_exact(m // 2).coeff
+def _lambda_beta(m: int) -> Fraction:
+    """lambda(m)/pi^m for even m, where lambda(m) = zeta(m)(1 - 2^-m), and
+    beta(m)/pi^m for odd m (beta(1) = pi/4).
+
+    Both are the coefficient of x^(m-1) in tan (even m) or sec (odd m),
+    divided by 2^(m+1).
+    """
+    return taylor_coeff("sec" if m % 2 else "tan", m - 1).value / 2 ** (m + 1)
 
 
-def _thm21_closed(m: int | None) -> float:
-    assert m is not None
+def _thm21_closed(m: int) -> float:
     if m % 2 == 1:
         return _pi_poly({0: Fraction(1, m)})
-    c = _zeta_even_coeff(m)
-    return _pi_poly({0: -Fraction(1, m), m: 2 * c * (1 - Fraction(1, 2 ** m)) / m})
+    return _pi_poly({0: -Fraction(1, m), m: 2 * _lambda_beta(m) / m})
 
 
-def _thm29_closed(m: int | None) -> float:
-    assert m is not None
-    if m % 2 == 0:
-        c = _zeta_even_coeff(m)
-        return _pi_poly({0: -Fraction(1, m), m: c * (1 - Fraction(1, 2 ** m)) / m})
-    j = (m - 1) // 2
-    if j == 0:
-        return _pi_poly({0: Fraction(1), 1: -Fraction(1, 4)})
-    w = zeta_e_exact(j).coeff * (1 - Fraction(1, 4 ** j))
-    return _pi_poly({0: Fraction(1, m), 2 * j + 1: -w / m})
+def _thm29_closed(m: int) -> float:
+    sign = 1 if m % 2 == 0 else -1
+    return _pi_poly({0: -sign * Fraction(1, m), m: sign * _lambda_beta(m) / m})
 
 
-def _sum28_closed(k: int | None, corrected: bool) -> float:
-    assert k is not None
-    c = _zeta_even_coeff(2 * k)
+def _sum28_closed(k: int, corrected: bool) -> float:
     tail = Fraction(1, 2 * k * (2 * k - 1))
-    return _pi_poly({0: tail if corrected else -tail, 2 * k: c * (1 - Fraction(1, 4 ** k)) / k})
+    return _pi_poly({0: tail if corrected else -tail, 2 * k: _lambda_beta(2 * k) / k})
 
 
-def _sum37_closed(k: int | None) -> float:
-    assert k is not None
-    c = _zeta_even_coeff(2 * k)
-    return _pi_poly({2 * k: c * (1 - Fraction(1, 4 ** k)) / (2 * k)})
+def _sum37_closed(k: int) -> float:
+    return _pi_poly({2 * k: _lambda_beta(2 * k) / (2 * k)})
 
 
-def _sum38_closed(k: int | None) -> float:
-    assert k is not None
-    if k == 0:
-        return _pi_poly({1: Fraction(1, 4)})
-    w = zeta_e_exact(k).coeff * (1 - Fraction(1, 4 ** k))
-    return _pi_poly({2 * k + 1: w / (2 * k + 1)})
+def _sum38_closed(k: int) -> float:
+    return _pi_poly({2 * k + 1: _lambda_beta(2 * k + 1) / (2 * k + 1)})
 
 
 def _apery_term(_param: int | None, n: int) -> float:

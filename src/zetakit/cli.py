@@ -14,7 +14,6 @@ from dataclasses import asdict
 from . import catalog, convergence, verifier
 from .catalog import CatalogKey
 from .specfun import (
-    CL2_METHODS,
     EvalResult,
     catalan,
     clausen_cl2,
@@ -135,10 +134,7 @@ def _cmd_compute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         elif args.constant == "cl2":
             if args.theta is None:
                 raise ValueError("compute cl2 needs --theta")
-            method = args.method or "auto"
-            if method not in CL2_METHODS:
-                raise ValueError(f"unknown cl2 method {method!r}")
-            res = clausen_cl2(args.theta, method)
+            res = clausen_cl2(args.theta, args.method or "auto")
         else:  # zetaE
             if args.value is None:
                 raise ValueError("compute zetaE needs an integer k")

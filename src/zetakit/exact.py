@@ -1,5 +1,8 @@
 """Exact integer/rational core: Bernoulli and Euler numbers, binomials,
-pi-power closed forms, and the Laurent coefficients of tan/cot/sec/csc.
+the Laurent coefficients of tan/cot/sec/csc, and pi-power closed forms.
+
+Every constant is a cot or sec coefficient: zeta(2n), beta(2n+1) and
+zeta_E(2k) are read off them by exact identities, and tan and csc rescale cot.
 
 Everything here is exact `fractions.Fraction` / `int` arithmetic.  The
 Bernoulli convention is B_1 = -1/2 (the z/(e^z - 1) generating function);
@@ -118,46 +121,17 @@ def euler_number(n: int) -> int:
     return _euler_cache[half]
 
 
-def zeta_even_exact(n: int) -> PiPower:
-    """zeta(2n) as an exact rational multiple of pi**(2n), n >= 1."""
-    if n < 1:
-        raise ValueError("zeta_even_exact requires n >= 1")
-    sign = 1 if n % 2 == 1 else -1
-    coeff = sign * bernoulli(2 * n) * Fraction(2 ** (2 * n - 1), math.factorial(2 * n))
-    return PiPower(coeff, 2 * n)
-
-
-def beta_odd_exact(n: int) -> PiPower:
-    """beta(2n+1) as an exact rational multiple of pi**(2n+1), n >= 0."""
-    if n < 0:
-        raise ValueError("beta_odd_exact requires n >= 0")
-    sign = 1 if n % 2 == 0 else -1
-    coeff = Fraction(sign * euler_number(2 * n), 4 ** (n + 1) * math.factorial(2 * n))
-    return PiPower(coeff, 2 * n + 1)
-
-
-def zeta_e_exact(k: int) -> PiPower:
-    """Euler-number analogue of the even-zeta closed form, k >= 1.
-
-    Value is (-1)^(k+1) E_{2k} pi^(2k+1) / (4 (1 - 4^k) (2k)!).  k = 0 is
-    rejected: the 1 - 4^k factor vanishes there (see zeta_e_weighted for the
-    removable-singularity value).
-    """
-    if k < 1:
-        raise ValueError("zeta_e_exact requires k >= 1 (k = 0 is singular)")
-    sign = 1 if k % 2 == 1 else -1
-    coeff = Fraction(sign * euler_number(2 * k), 4 * (1 - 4 ** k) * math.factorial(2 * k))
-    return PiPower(coeff, 2 * k + 1)
-
-
 TRIG_FUNCTIONS = ("tan", "cot", "sec", "csc")
 
 
 def taylor_coeff(function_id: str, k: int) -> LaurentCoeff:
     """Exact coefficient of x**k in the expansion of tan, cot, sec or csc.
 
-    cot and csc carry a genuine x**-1 leading term, kept at exponent -1
-    instead of clearing denominators.  Parity-excluded powers return 0.
+    cot comes from the Bernoulli numbers and sec from the Euler numbers;
+    tan x = cot x - 2 cot 2x and csc x = cot(x/2) - cot x rescale the cot
+    coefficient.  cot and csc carry a genuine x**-1 leading term, kept at
+    exponent -1 instead of clearing denominators.  Parity-excluded powers
+    return 0.
     """
     if function_id not in TRIG_FUNCTIONS:
         raise ValueError(f"unknown function id {function_id!r}")
@@ -165,35 +139,47 @@ def taylor_coeff(function_id: str, k: int) -> LaurentCoeff:
         raise ValueError("k must be >= -1")
     if k == -1 and function_id in ("tan", "sec"):
         raise ValueError(f"{function_id} has no x**-1 term")
-
-    zero = LaurentCoeff(Fraction(0), k)
-    if function_id == "tan":
-        # odd powers x^(2n-1), n >= 1
-        if k < 1 or k % 2 == 0:
-            return zero
-        n = (k + 1) // 2
-        sign = 1 if n % 2 == 1 else -1
-        value = sign * 2 ** (2 * n) * (2 ** (2 * n) - 1) * bernoulli(2 * n)
-        return LaurentCoeff(value / math.factorial(2 * n), k)
-    if function_id == "cot":
-        # odd powers x^(2n-1), n >= 0 (x^-1 at n = 0)
-        if k % 2 == 0:
-            return zero
-        n = (k + 1) // 2
-        sign = 1 if n % 2 == 0 else -1
-        value = sign * 2 ** (2 * n) * bernoulli(2 * n)
-        return LaurentCoeff(value / math.factorial(2 * n), k)
+    odd = function_id != "sec"  # sec is even; tan, cot and csc are odd
+    if k % 2 != odd:
+        return LaurentCoeff(Fraction(0), k)
     if function_id == "sec":
-        # even powers x^(2n), n >= 0
-        if k % 2 == 1:
-            return zero
-        n = k // 2
-        sign = 1 if n % 2 == 0 else -1
-        return LaurentCoeff(Fraction(sign * euler_number(2 * n), math.factorial(2 * n)), k)
-    # csc: odd powers x^(2n-1), n >= 0; 2^(2n-1) is 1/2 at n = 0
-    if k % 2 == 0:
-        return zero
+        return LaurentCoeff(Fraction((-1) ** (k // 2) * euler_number(k), math.factorial(k)), k)
+    # cot: x^(2n-1) for n >= 0 (x^-1 at n = 0)
     n = (k + 1) // 2
-    sign = 1 if n % 2 == 1 else -1
-    value = sign * 2 * (Fraction(2) ** (2 * n - 1) - 1) * bernoulli(2 * n)
-    return LaurentCoeff(value / math.factorial(2 * n), k)
+    value = (-1) ** n * 2 ** (2 * n) * bernoulli(2 * n) / math.factorial(2 * n)
+    if function_id == "tan":  # tan x = cot x - 2 cot 2x
+        value *= 1 - 2 ** (k + 1)
+    elif function_id == "csc":  # csc x = cot(x/2) - cot x; 2^-k is 2 at k = -1
+        value *= Fraction(2) ** -k - 1
+    return LaurentCoeff(value, k)
+
+
+def zeta_even_exact(n: int) -> PiPower:
+    """zeta(2n) as an exact rational multiple of pi**(2n), n >= 1.
+
+    Read off pi x cot(pi x) = 1 - 2 sum_{n>=1} zeta(2n) x^(2n).
+    """
+    if n < 1:
+        raise ValueError("zeta_even_exact requires n >= 1")
+    return PiPower(-taylor_coeff("cot", 2 * n - 1).value / 2, 2 * n)
+
+
+def beta_odd_exact(n: int) -> PiPower:
+    """beta(2n+1) as an exact rational multiple of pi**(2n+1), n >= 0.
+
+    Read off (pi/4) sec(pi x/2) = sum_{n>=0} beta(2n+1) x^(2n).
+    """
+    if n < 0:
+        raise ValueError("beta_odd_exact requires n >= 0")
+    return PiPower(taylor_coeff("sec", 2 * n).value / 4 ** (n + 1), 2 * n + 1)
+
+
+def zeta_e_exact(k: int) -> PiPower:
+    """Euler-number analogue of the even-zeta closed form, k >= 1.
+
+    zeta_E(2k) (1 - 4^-k) = beta(2k+1).  k = 0 is rejected: the 1 - 4^-k
+    factor vanishes there (zeta_e_weighted(0) is beta(1) = pi/4).
+    """
+    if k < 1:
+        raise ValueError("zeta_e_exact requires k >= 1 (k = 0 is singular)")
+    return PiPower(beta_odd_exact(k).coeff / (1 - Fraction(1, 4 ** k)), 2 * k + 1)

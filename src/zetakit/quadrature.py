@@ -54,9 +54,10 @@ def tanh_sinh(
     """Integrate f over the finite interval [a, b].
 
     Endpoint singularities must be integrable; the transform pushes nodes
-    double-exponentially close to the endpoints, and any node at which f
-    fails to be finite is dropped (its weight is already below the noise
-    floor).  The error estimate is the last level-to-level difference.
+    double-exponentially close to the endpoints, and any node at which f is
+    not finite or raises ValueError or ZeroDivisionError (a node rounded
+    onto a singular endpoint) is dropped: its weight is already below the
+    noise floor.  The error estimate is the last level-to-level difference.
     """
     if not a < b:
         raise ValueError("tanh_sinh requires a < b")
@@ -64,20 +65,18 @@ def tanh_sinh(
     mid = 0.5 * (a + b)
 
     def eval_at(x: float, w: float, acc: CompensatedSum) -> int:
-        fx = f(x)
+        try:
+            fx = f(x)
+        except (ValueError, ZeroDivisionError):  # math.log(0.0), 1 / 0.0
+            return 0
         if math.isfinite(fx):
             acc.add(w * fx)
             return 1
         return 0
 
-    evals = 0
     acc = CompensatedSum()
     # level 0: h = 1, all integer nodes
-    g0 = half * 0.5 * math.pi
-    fx = f(mid)
-    if math.isfinite(fx):
-        acc.add(g0 * fx)
-    evals += 1
+    evals = eval_at(mid, half * 0.5 * math.pi, acc)
     k = 1
     while k <= _T_MAX:
         xm, xp, w = _node(float(k), a, b, half)

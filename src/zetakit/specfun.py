@@ -241,9 +241,8 @@ def polygamma(order: int, z: float) -> EvalResult:
 def zeta_e_weighted(k: int) -> EvalResult:
     """zeta_E(2k) (1 - 4^-k) for k >= 1; pi/4 at k = 0.
 
-    The k = 0 value is the removable-singularity limit: it is the unique
-    value consistent with the odd binomial-sum family at its lowest order
-    (numerically pinned by sum 2 zeta(2n) (4^-n - 16^-n) = pi/4).
+    The weighted value is beta(2k+1), so k = 0 gives beta(1) = pi/4, the
+    same formula and no separate limit.
     """
     if k < 0:
         raise ValueError("zeta_e_weighted requires k >= 0")

@@ -7,9 +7,12 @@ cost of 40 digits.
 """
 
 import math
+import sys
 
 import pytest
 
+from zetakit import catalog
+from zetakit.catalog import CatalogKey
 from zetakit.specfun import CL2_METHODS, clausen_cl2, dirichlet_beta, riemann_zeta, zeta_e_weighted
 
 mp = pytest.importorskip("mpmath")
@@ -96,3 +99,44 @@ def test_quarter_pi_bound_covers_the_rounding():
         assert res.error_bound > 0.0
         with mp.workdps(DPS):
             assert _within_bound(res, mp.pi / 4)
+
+
+def _excess(m: int):
+    """lambda(m) - 1 for even m, where lambda(m) = zeta(m)(1 - 2^-m), and
+    beta(m) - 1 for odd m, from Hurwitz zetas so that nothing cancels:
+    lambda(m) - 1 = 2^-m zeta(m, 3/2), beta(m) - 1 = 4^-m (zeta(m, 5/4) - zeta(m, 3/4))."""
+    if m == 1:
+        return mp.pi / 4 - 1
+    if m % 2 == 0:
+        return mp.zeta(m, mp.mpf(3) / 2) / mp.mpf(2) ** m
+    return (mp.zeta(m, mp.mpf(5) / 4) - mp.zeta(m, mp.mpf(3) / 4)) / mp.mpf(4) ** m
+
+
+# family id -> (pi power m of the closed form, its true value) per parameter;
+# SUM_28 also has its published variant, with the minus sign
+_FAMILY_TRUTH = {
+    "THM_21": lambda m: (m, mp.mpf(1) / m if m % 2 else (1 + 2 * _excess(m)) / m),
+    "THM_29": lambda m: (m, (1 if m % 2 == 0 else -1) * _excess(m) / m),
+    "SUM_28": lambda k: (2 * k, (1 + _excess(2 * k)) / k + mp.mpf(1) / (2 * k * (2 * k - 1))),
+    "SUM_37": lambda k: (2 * k, (1 + _excess(2 * k)) / (2 * k)),
+    "SUM_38": lambda k: (2 * k + 1, (1 + _excess(2 * k + 1)) / (2 * k + 1)),
+}
+
+
+def test_family_closed_forms_at_every_parameter():
+    # the float closed form carries pi^m, whose relative error grows like m eps
+    # while the pi^m term's size falls like 1/m, plus a few roundings of
+    # values below 1: (m + 4) eps / m absolute covers both
+    eps = sys.float_info.epsilon
+    families = [e for e in catalog.registry().values() if e.is_family and e.verifiable]
+    assert {e.id for e in families} == set(_FAMILY_TRUTH)
+    with mp.workdps(DPS):
+        for entry in families:
+            for p in range(entry.param_min, catalog.PARAM_CAP + 1):
+                key = CatalogKey(entry.id, p)
+                m, truth = _FAMILY_TRUTH[entry.id](p)
+                bound = (m + 4) * eps / m
+                assert abs(mp.mpf(catalog.closed_form(key)) - truth) <= bound, key
+                if entry.id == "SUM_28":
+                    printed = truth - mp.mpf(1) / (p * (2 * p - 1))
+                    assert abs(mp.mpf(catalog.printed_closed_form(key)) - printed) <= bound, key

@@ -51,6 +51,7 @@ def test_compute_usage_errors():
         ["compute", "zeta3", "--method", "bogus"],
         ["compute", "zeta", "1"],   # pole
         ["compute", "cl2"],         # missing --theta
+        ["compute", "cl2", "--theta", "1", "--method", "bogus"],
         ["compute", "zeta"],        # missing argument
     ):
         with pytest.raises(SystemExit) as exc:

@@ -198,3 +198,47 @@ def test_taylor_partial_sums(x):
     assert abs(_partial("sec", x, 30) - 1.0 / math.cos(x)) <= 1e-10
     assert abs(_partial("cot", x, 30) - math.cos(x) / math.sin(x)) <= 1e-10
     assert abs(_partial("csc", x, 30) - 1.0 / math.sin(x)) <= 1e-10
+
+
+# --- the textbook Bernoulli/Euler formulas, kept as the reference -------------
+# The library derives tan and csc from cot, and zeta(2n), beta(2n+1) and
+# zeta_E(2k) from cot and sec; these are the sign-power-factorial formulas it
+# used to write out for each.  The ranges are every index the catalogue
+# reaches at PARAM_CAP = 256: tan up to x^511, sec up to x^512.
+
+_TOP = 512
+
+
+def _textbook_taylor(function_id, k):
+    if (k % 2 == 0) != (function_id == "sec"):
+        return Fraction(0)
+    if function_id == "sec":
+        n = k // 2
+        return Fraction((-1) ** n * euler_number(2 * n), math.factorial(2 * n))
+    n = (k + 1) // 2
+    b = bernoulli(2 * n) / math.factorial(2 * n)
+    if function_id == "tan":
+        return (-1) ** (n + 1) * 2 ** (2 * n) * (2 ** (2 * n) - 1) * b
+    if function_id == "cot":
+        return (-1) ** n * 2 ** (2 * n) * b
+    return (-1) ** (n + 1) * 2 * (Fraction(2) ** (2 * n - 1) - 1) * b  # csc
+
+
+@pytest.mark.parametrize("function_id", ["tan", "cot", "sec", "csc"])
+def test_taylor_coeff_matches_textbook_formula(function_id):
+    first = -1 if function_id in ("cot", "csc") else 0
+    last = _TOP if function_id == "sec" else _TOP - 1
+    for k in range(first, last + 1):
+        assert taylor_coeff(function_id, k) == LaurentCoeff(_textbook_taylor(function_id, k), k), k
+
+
+def test_closed_forms_match_textbook_formulas():
+    for n in range(1, _TOP // 2 + 1):
+        coeff = (-1) ** (n + 1) * bernoulli(2 * n) * Fraction(2 ** (2 * n - 1), math.factorial(2 * n))
+        assert zeta_even_exact(n) == PiPower(coeff, 2 * n), n
+    for n in range(0, _TOP // 2 + 1):
+        coeff = Fraction((-1) ** n * euler_number(2 * n), 4 ** (n + 1) * math.factorial(2 * n))
+        assert beta_odd_exact(n) == PiPower(coeff, 2 * n + 1), n
+    for k in range(1, _TOP // 2 + 1):
+        coeff = Fraction((-1) ** (k + 1) * euler_number(2 * k), 4 * (1 - 4 ** k) * math.factorial(2 * k))
+        assert zeta_e_exact(k) == PiPower(coeff, 2 * k + 1), k

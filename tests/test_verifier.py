@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from zetakit import catalog, verifier
 from zetakit.catalog import CatalogKey
+from zetakit.quadrature import tanh_sinh
 from zetakit.specfun import catalan, clausen_cl2, riemann_zeta
 from zetakit.verifier import (
     InconclusiveError,
@@ -226,6 +227,43 @@ def test_quadrature_errors():
         quadrature("exp_sin", 0.0, 1.0)
     with pytest.raises(ValueError):
         quadrature("log_sin", 1.0, 1.0)
+
+
+def test_quadrature_across_the_singularity_of_log_one_plus_cos():
+    # the piece [0, pi] ends on the float pi, where cos is exactly -1
+    q = quadrature("log_one_plus_cos", 0.0, 4.0)
+    target = 2.0 * clausen_cl2(PI - 4.0).value - 4.0 * math.log(2.0) - 2.0 * clausen_cl2(PI).value
+    assert abs(q.value - target) <= 1e-10
+
+
+def test_quadrature_across_the_singularity_of_log_one_plus_sin():
+    # int_a^b log(1 + sin) = F(b) - F(a), F(t) = 2G - 2 Cl2(pi/2 + t) - t log 2; singular at -pi/2
+    q = quadrature("log_one_plus_sin", -3.0, 1.0)
+    target = (2.0 * clausen_cl2(PI / 2 - 3.0).value - 2.0 * clausen_cl2(PI / 2 + 1.0).value
+              - 4.0 * math.log(2.0))
+    assert abs(q.value - target) <= 1e-10
+
+
+def test_integral_identity_up_to_its_singular_point():
+    report = verify_integral_identity("INT_LOG_ONE_PLUS_COS", 1e-10, (PI,))
+    assert report.passed
+    assert report.abs_err <= 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-5.0, 5.0), st.floats(1e-3, 10.0))
+def test_tanh_sinh_endpoint_log_singularities(a, length):
+    # a node that rounds onto an endpoint makes math.log raise; it is dropped
+    b = a + length
+    width = b - a
+    one = width * math.log(width) - width  # int_a^b log(x - a) = int_a^b log(b - x)
+    for f, exact in (
+        (lambda x: math.log(x - a), one),
+        (lambda x: math.log(b - x), one),
+        (lambda x: math.log(x - a) + math.log(b - x), 2.0 * one),
+    ):
+        q = tanh_sinh(f, a, b)
+        assert abs(q.value - exact) <= 1e-12 * max(1.0, abs(exact))
 
 
 # --- integral identities -----------------------------------------------------------------
