@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, count, islice
@@ -67,10 +67,8 @@ ClosedFn = Callable[[Optional[int]], float]
 StepsFn = Callable[[Optional[int], int], Iterator[tuple[float, float]]]
 
 
-@dataclass(frozen=True)
-class CatalogKey:
-    id: str
-    param: int | None = None
+class CatalogKey(namedtuple("CatalogKey", "id param", defaults=(None,))):
+    __slots__ = ()
 
     def label(self) -> str:
         if self.param is None:
@@ -78,25 +76,25 @@ class CatalogKey:
         return f"{self.id}({self.param})"
 
 
-@dataclass(frozen=True)
-class IdentityDescriptor:
-    id: str
-    paper_eq: str
-    status: str
-    description: str
-    start_index: int = 1
-    param_name: str | None = None  # None for scalar entries
-    param_min: int = 1
-    param_domain: str = ""
-    targets: tuple[str, ...] = ()
-    term_fn: TermFn | None = None
-    closed_fn: ClosedFn | None = None
-    printed_closed_fn: ClosedFn | None = None
-    # steps_fn(param, N) yields (term_fn(param, n), tail(n)) for n = N, N+1, ..., where
-    # tail(n) bounds |sum_{j>n} term_fn(param, j)|
-    steps_fn: StepsFn | None = None
-    offset_fn: ClosedFn | None = None  # assembled = offset + scale * series
-    scale_fn: ClosedFn | None = None
+class IdentityDescriptor(namedtuple(
+    "IdentityDescriptor",
+    "id paper_eq status description start_index param_name param_min param_domain targets"
+    " term_fn closed_fn printed_closed_fn steps_fn offset_fn scale_fn",
+    defaults=(1, None, 1, "", (), None, None, None, None, None, None),
+)):
+    """One registry entry.
+
+    param_name is None for scalar entries.  term_fn is a TermFn; closed_fn,
+    printed_closed_fn, offset_fn and scale_fn are ClosedFns, and the
+    assembled value is offset + scale * series.  steps_fn is a StepsFn:
+    steps_fn(param, N) yields (term_fn(param, n), tail(n)) for n = N, N+1,
+    ..., where tail(n) bounds |sum_{j>n} term_fn(param, j)|.
+    """
+
+    __slots__ = ()
+
+    # vars(entry) maps each field to its value, as for any plain object
+    __dict__ = property(lambda self: self._asdict())
 
     @property
     def verifiable(self) -> bool:
@@ -107,13 +105,7 @@ class IdentityDescriptor:
         return self.param_name is not None
 
 
-@dataclass(frozen=True)
-class IdentitySummary:
-    id: str
-    paper_eq: str
-    status: str
-    params: str
-    description: str
+IdentitySummary = namedtuple("IdentitySummary", "id paper_eq status params description")
 
 
 # --- shared constants (computed once, lazily) -------------------------------

@@ -7,23 +7,16 @@ published-variant discrepancies), 2 usage error, 3 inconclusive checks.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import asdict
+from typing import TYPE_CHECKING
 
-from . import catalog, convergence, verifier
-from .catalog import CatalogKey
-from .specfun import (
-    EvalResult,
-    catalan,
-    clausen_cl2,
-    dirichlet_beta,
-    euler_gamma,
-    riemann_zeta,
-    zeta_e_weighted,
-)
+if TYPE_CHECKING:
+    from .specfun import EvalResult
 
 __all__ = ["main", "build_parser"]
+
+# Each subcommand imports the layers it runs, so that a one-shot command
+# loads (and compiles) only those; building the parser imports none.
 
 CONSTANTS = ("zeta", "zeta3", "catalan", "gamma", "beta", "cl2", "zetaE")
 
@@ -32,7 +25,6 @@ ZETA3_METHOD_ALIASES = {
     "ewell": "ZETA3_EWELL_16",
     "cvijovic-klinowski": "ZETA3_CK_15",
 }
-ZETA3_METHOD_IDS = tuple(e.id for e in catalog.registry().values() if "zeta3" in e.targets)
 
 
 def _bounded(kind: type, lo: float, hi: float, name: str):
@@ -80,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", default=None)
 
     p_conv = sub.add_parser("converge", help="rank identities by convergence speed")
-    p_conv.add_argument("--target", default="zeta3", choices=convergence.COMPARE_TARGETS)
+    p_conv.add_argument("--target", default="zeta3",
+                        help="zeta3, catalan-relations or all (default zeta3)")
     p_conv.add_argument("--tol", type=_tolerance, default=1e-10)
     p_conv.add_argument("--format", default="csv", choices=("csv", "json", "markdown"))
     p_conv.add_argument("--out", default=None)
@@ -106,16 +99,29 @@ def _print_result(res: EvalResult) -> None:
     print(f"value={res.value:.16g} terms_used={res.terms_used} error_bound={res.error_bound:.3e}")
 
 
-def _compute_zeta3(method: str | None, tol: float) -> EvalResult:
+def _compute_zeta3(method: str | None, tol: float) -> EvalResult | None:
+    """zeta(3) directly, or by a catalogued series; None, with the reason on
+    stderr, when the series reaches the term cap first."""
+    from .specfun import riemann_zeta
+
     if method is None or method == "direct":
         return riemann_zeta(3.0)
+    from .catalog import CatalogKey, InconclusiveError, evaluate, registry
+
     ident = ZETA3_METHOD_ALIASES.get(method.lower(), method.upper())
-    if ident not in ZETA3_METHOD_IDS:
+    if ident not in [e.id for e in registry().values() if "zeta3" in e.targets]:
         raise ValueError(f"unknown zeta3 method {method!r}")
-    return catalog.evaluate(CatalogKey(ident), tol)
+    try:
+        return evaluate(CatalogKey(ident), tol)
+    except InconclusiveError as exc:
+        print(str(exc), file=sys.stderr)
+        return None
 
 
 def _cmd_compute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from .specfun import (catalan, clausen_cl2, dirichlet_beta, euler_gamma, riemann_zeta,
+                          zeta_e_weighted)
+
     try:
         if args.constant == "zeta":
             if args.value is None:
@@ -139,29 +145,32 @@ def _cmd_compute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
             if args.value is None:
                 raise ValueError("compute zetaE needs an integer k")
             res = zeta_e_weighted(int(args.value))
-    except catalog.InconclusiveError as exc:
-        print(str(exc), file=sys.stderr)
-        return 3
     except (ValueError, KeyError) as exc:
         parser.error(str(exc))  # exits 2
+    if res is None:
+        return 3
     _print_result(res)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from .catalog import CatalogKey
+    from .verifier import (InconclusiveError, inconclusive_report, reports_to_json, reports_to_text,
+                           verify, verify_all)
+
     try:
         if args.all_ids:
-            reports = verifier.verify_all(args.tol, args.param_limit)
+            reports = verify_all(args.tol, args.param_limit)
         else:
             param = args.m if args.m is not None else args.k
             key = CatalogKey(args.id, param)
             try:
-                reports = verifier.verify(key, args.tol)
-            except catalog.InconclusiveError:
-                reports = [verifier.inconclusive_report(key, args.tol)]
+                reports = verify(key, args.tol)
+            except InconclusiveError:
+                reports = [inconclusive_report(key, args.tol)]
     except (KeyError, ValueError) as exc:
         parser.error(str(exc))
-    text = verifier.reports_to_json(reports) if args.format == "json" else verifier.reports_to_text(reports)
+    text = reports_to_json(reports) if args.format == "json" else reports_to_text(reports)
     _emit(text, args.out)
     if any(r.inconclusive for r in reports):
         return 3
@@ -171,21 +180,28 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 
 def _cmd_converge(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from .catalog import InconclusiveError
+    from .convergence import compare, export
+
     try:
-        table = convergence.compare(args.target, args.tol)
-    except catalog.InconclusiveError as exc:
+        table = compare(args.target, args.tol)
+    except InconclusiveError as exc:
         print(str(exc), file=sys.stderr)
         return 3
     except ValueError as exc:
         parser.error(str(exc))
-    _emit(convergence.export(table, args.format), args.out)
+    _emit(export(table, args.format), args.out)
     return 0
 
 
 def _cmd_list(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    summaries = catalog.list_identities()
+    from .catalog import list_identities
+
+    summaries = list_identities()
     if args.format == "json":
-        text = json.dumps([asdict(s) for s in summaries], indent=2)
+        import json
+
+        text = json.dumps([s._asdict() for s in summaries], indent=2)
     else:
         width = max(len(s.id) for s in summaries)
         text = "\n".join(

@@ -4,9 +4,8 @@ needs to hit a target tolerance, with CSV/JSON/Markdown export.
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import catalog
 from .catalog import CatalogKey, InconclusiveError, max_terms
@@ -18,13 +17,8 @@ COMPARE_TARGETS = ("zeta3", "catalan-relations", "all")
 CSV_HEADER = "id,paper_eq,tolerance,terms_needed,achieved_error,wall_time_ns"
 
 
-@dataclass(frozen=True)
-class ConvergenceProfile:
-    key: CatalogKey
-    tolerance: float
-    terms_needed: int
-    achieved_error: float
-    wall_time_ns: int
+ConvergenceProfile = namedtuple("ConvergenceProfile",
+                                "key tolerance terms_needed achieved_error wall_time_ns")
 
 
 def _scan_to_tolerance(key: CatalogKey, target: float, tolerance: float) -> tuple[int, float]:
@@ -116,6 +110,8 @@ def export(table: list[ConvergenceProfile], format: str) -> str:
             )
         return "\n".join(lines) + "\n"
     if format == "json":
+        import json
+
         return json.dumps(rows, indent=2) + "\n"
     if format == "markdown":
         lines = [

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 __all__ = [
@@ -34,35 +34,41 @@ __all__ = [
 Rational = Fraction
 
 
-@dataclass(frozen=True)
-class PiPower:
+class PiPower(namedtuple("PiPower", "coeff power")):
     """Exact constant of the form ``coeff * pi**power``."""
 
-    coeff: Fraction
-    power: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.power < 0:
+    def __new__(cls, coeff: Fraction, power: int) -> PiPower:
+        if power < 0:
             raise ValueError("power must be >= 0")
+        return super().__new__(cls, coeff, power)
+
+    @classmethod
+    def _make(cls, iterable) -> PiPower:  # _replace builds through _make: keep the check
+        return cls(*iterable)
 
     def numeric(self) -> float:
         return float(self.coeff) * math.pi ** self.power
 
 
-@dataclass(frozen=True)
-class LaurentCoeff:
+class LaurentCoeff(namedtuple("LaurentCoeff", "value exponent")):
     """Exact coefficient of x**exponent in a trig Laurent expansion.
 
     exponent may be -1 (the leading term of cot and csc); nothing lower
     occurs.
     """
 
-    value: Fraction
-    exponent: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.exponent < -1:
+    def __new__(cls, value: Fraction, exponent: int) -> LaurentCoeff:
+        if exponent < -1:
             raise ValueError("exponent must be >= -1")
+        return super().__new__(cls, value, exponent)
+
+    @classmethod
+    def _make(cls, iterable) -> LaurentCoeff:  # _replace builds through _make: keep the check
+        return cls(*iterable)
 
 
 def binomial(n: int, k: int) -> int:

@@ -5,7 +5,7 @@ singularities, with interior-singularity splitting handled by the caller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable
 
 from .summation import CompensatedSum
@@ -17,17 +17,19 @@ __all__ = ["QuadratureResult", "tanh_sinh"]
 _T_MAX = 4.0
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    error_estimate: float
-    evaluations: int
+class QuadratureResult(namedtuple("QuadratureResult", "value error_estimate evaluations")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.error_estimate >= 0.0:
+    def __new__(cls, value: float, error_estimate: float, evaluations: int) -> QuadratureResult:
+        if not error_estimate >= 0.0:
             raise ValueError("error_estimate must be >= 0")
-        if self.evaluations <= 0:
+        if evaluations <= 0:
             raise ValueError("evaluations must be > 0")
+        return super().__new__(cls, value, error_estimate, evaluations)
+
+    @classmethod
+    def _make(cls, iterable) -> QuadratureResult:  # _replace builds through _make: keep the check
+        return cls(*iterable)
 
 
 def _node(t: float, a: float, b: float, half: float) -> tuple[float, float, float]:

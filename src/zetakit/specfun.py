@@ -14,7 +14,7 @@ import itertools
 import math
 import sys
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .exact import bernoulli, zeta_e_exact, zeta_even_exact
 from .summation import CompensatedSum
@@ -69,19 +69,21 @@ _SUBNORMAL_PAD = 16 * math.ulp(0.0)  # a few roundings of subnormal results
 CL2_METHODS = ("direct", "accel", "peeled", "wzl", "auto")
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(namedtuple("EvalResult", "value terms_used error_bound")):
     """A float value plus the work done and a rigorous truncation bound."""
 
-    value: float
-    terms_used: int
-    error_bound: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.error_bound >= 0.0 and math.isfinite(self.error_bound)):
+    def __new__(cls, value: float, terms_used: int, error_bound: float) -> EvalResult:
+        if not (error_bound >= 0.0 and math.isfinite(error_bound)):
             raise ValueError("error_bound must be finite and >= 0")
-        if self.terms_used < 0:
+        if terms_used < 0:
             raise ValueError("terms_used must be >= 0")
+        return super().__new__(cls, value, terms_used, error_bound)
+
+    @classmethod
+    def _make(cls, iterable) -> EvalResult:  # _replace builds through _make: keep the check
+        return cls(*iterable)
 
 
 def _bern_over_fact(k: int) -> float:

@@ -5,9 +5,8 @@ singular quadrature against Cl2), and the four-way Clausen cross-check.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -29,6 +28,7 @@ __all__ = [
     "quadrature",
     "INTEGRAND_IDS",
     "verify_integral_identity",
+    "integral_rhs",
     "INTEGRAL_IDENTITY_IDS",
     "THETA_GRID",
     "cross_check_clausen",
@@ -39,8 +39,11 @@ __all__ = [
 THETA_GRID = (math.pi / 6, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(namedtuple(
+    "VerificationReport",
+    "key lhs rhs abs_err rel_err n_terms tolerance variant passed inconclusive",
+    defaults=(False,),
+)):
     """One identity check.
 
     variant is "corrected" for the authoritative right-hand side (which for
@@ -49,16 +52,7 @@ class VerificationReport:
     passed follows abs_err <= tolerance + tail allowance at n_terms.
     """
 
-    key: CatalogKey
-    lhs: float
-    rhs: float
-    abs_err: float
-    rel_err: float
-    n_terms: int
-    tolerance: float
-    variant: str
-    passed: bool
-    inconclusive: bool = False
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -223,32 +217,79 @@ def quadrature(integrand_id: str, lower: float, upper: float, *, target: float =
     return QuadratureResult(total.value, err, evals)
 
 
-def _cl2(theta: float) -> float:
-    return clausen_cl2(theta, "auto").value
+_PI_ERR = 1.23e-16  # |pi - math.pi| = 1.2246e-16, rounded up
+_CL2_SPREAD = 2.03  # max Cl2 - min Cl2 = 2 Cl2(pi/3) = 2.0298832...
 
 
-# integral identity id -> (integrand id, sign, rhs as a function of theta):
-# sign * int_0^theta integrand = rhs(theta)
-_INTEGRAL_IDENTITIES: dict[str, tuple[str, float, Callable[[float], float]]] = {
+def _cl2_drift(x: float, delta: float) -> float:
+    """A bound on |Cl2(y) - Cl2(x)| over |y - x| <= delta.
+
+    Cl2'(t) = -log|2 sin(t/2)|, so the change is at most the integral of
+    |log|2 sin(t/2)|| over [x - delta, x + delta], of width w = 2 delta.
+    Between its singularities at the multiples of 2 pi, log|2 sin(t/2)| is
+    concave with maximum log 2, so on points at least gap away from every
+    multiple its magnitude is at most max(log 2, -log(2 sin(gap/2))).  Where
+    the interval comes within w of a multiple, it lies within |s| <= 2w of
+    it, where the integrand is at most |log|s|| + s^2/20 (2 sin(s/2) is
+    s (1 - s^2/24 + ...)); over an interval of width w < 1/4 that integrates
+    to at most w (1 - log(w/2)) + w^3.  Wider intervals get the whole range
+    of Cl2.
+    """
+    if delta == 0.0:
+        return 0.0
+    w = 2.0 * delta
+    if w >= 0.25:
+        return _CL2_SPREAD
+    k = round(x / (2.0 * math.pi))
+    near = k * (2.0 * math.pi)
+    # distance to 2 pi k, less the shortfall of the float 2 pi and the roundings
+    gap = abs(x - near) - abs(k) * 2.0 * _PI_ERR - math.ulp(near) - math.ulp(x) - delta
+    if gap < w:
+        return w * (1.0 - math.log(0.5 * w)) + w ** 3
+    return w * max(_LOG2, -math.log(2.0 * math.sin(0.5 * min(gap, math.pi))))
+
+
+# integral identity id -> (integrand id, sign, Cl2 term, rhs): sign * int_0^theta
+# integrand = rhs(theta, c Cl2(x)), where the Cl2 term (c, m, s) gives the
+# coefficient c and the argument x = m pi + s theta.
+_INTEGRAL_IDENTITIES: dict[str, tuple[str, float, tuple[float, float, float],
+                                      Callable[[float, float], float]]] = {
     # int_0^theta log sin = -Cl2(2 theta)/2 - theta log 2
-    "INT_LOG_SIN": ("log_sin", 1.0, lambda t: -0.5 * _cl2(2.0 * t) - t * math.log(2.0)),
+    "INT_LOG_SIN": ("log_sin", 1.0, (-0.5, 0.0, 2.0), lambda t, cl2: cl2 - t * _LOG2),
     # int_0^theta log|cos| = +Cl2(pi - 2 theta)/2 - theta log 2.  The
     # published display carries a minus sign on the Cl2 term, which fails
     # numerically and contradicts d/dt Cl2(pi - 2t) = 2 log(2 cos t); the
     # corrected sign is used here.
-    "INT_LOG_COS": ("log_cos", 1.0, lambda t: 0.5 * _cl2(math.pi - 2.0 * t) - t * math.log(2.0)),
+    "INT_LOG_COS": ("log_cos", 1.0, (0.5, 1.0, -2.0), lambda t, cl2: cl2 - t * _LOG2),
     # int_0^theta log(1 + cos) = 2 Cl2(pi - theta) - theta log 2
-    "INT_LOG_ONE_PLUS_COS": ("log_one_plus_cos", 1.0, lambda t: 2.0 * _cl2(math.pi - t) - t * math.log(2.0)),
+    "INT_LOG_ONE_PLUS_COS": ("log_one_plus_cos", 1.0, (2.0, 1.0, -1.0), lambda t, cl2: cl2 - t * _LOG2),
     # int_0^theta log(1 + sin) = 2G - 2 Cl2(pi/2 + theta) - theta log 2
-    "INT_LOG_ONE_PLUS_SIN": (
-        "log_one_plus_sin", 1.0,
-        lambda t: 2.0 * catalan().value - 2.0 * _cl2(math.pi / 2 + t) - t * math.log(2.0),
-    ),
+    "INT_LOG_ONE_PLUS_SIN": ("log_one_plus_sin", 1.0, (-2.0, 0.5, 1.0),
+                             lambda t, cl2: 2.0 * catalan().value + cl2 - t * _LOG2),
     # Cl2(theta) = -int_0^theta log(2 sin(x/2))
-    "CL2_INTEGRAL": ("log_two_sin_half", -1.0, _cl2),
+    "CL2_INTEGRAL": ("log_two_sin_half", -1.0, (1.0, 0.0, 1.0), lambda t, cl2: cl2),
 }
 
 INTEGRAL_IDENTITY_IDS = tuple(_INTEGRAL_IDENTITIES)
+
+
+def integral_rhs(id: str, theta: float) -> tuple[float, float]:
+    """The right-hand side of an integral identity at theta, and its allowance.
+
+    The Cl2 argument m pi + s theta is computed as the float
+    m * math.pi + s * theta: s theta is exact (|s| is 1 or 2), math.pi is
+    short of pi by less than _PI_ERR, and the sum rounds once.  Where Cl2 is
+    steep, near its argument 0, that moves the value well past rounding.
+    The allowance is |c| times the Cl2 value's own error bound plus the
+    most Cl2 can change over that distance (_cl2_drift).
+    """
+    if id not in _INTEGRAL_IDENTITIES:
+        raise ValueError(f"unknown integral identity {id!r}")
+    _, _, (coeff, pi_multiple, scale), rhs = _INTEGRAL_IDENTITIES[id]
+    x = pi_multiple * math.pi + scale * theta
+    delta = pi_multiple * _PI_ERR + 0.5 * math.ulp(x) if pi_multiple else 0.0
+    cl2 = clausen_cl2(x, "auto")
+    return rhs(theta, coeff * cl2.value), abs(coeff) * (cl2.error_bound + _cl2_drift(x, delta))
 
 
 def verify_integral_identity(
@@ -259,23 +300,25 @@ def verify_integral_identity(
     """Check one log-trig integral identity on the theta grid.
 
     The report carries the worst grid point: lhs is the quadrature value
-    times the identity's sign, rhs the Cl2-based closed form, and the pass criterion allows the summed
-    quadrature error estimate on top of the tolerance.
+    times the identity's sign, rhs the Cl2-based closed form, and the pass
+    criterion allows the quadrature error estimate and the rhs allowance of
+    integral_rhs on top of the tolerance.
     """
     if id not in _INTEGRAL_IDENTITIES:
         raise ValueError(f"unknown integral identity {id!r}")
-    integrand_id, sign, rhs_fn = _INTEGRAL_IDENTITIES[id]
+    integrand_id, sign, _, _ = _INTEGRAL_IDENTITIES[id]
     worst = None
     evals = 0
     for t in thetas:
         q = quadrature(integrand_id, 0.0, t)
         evals += q.evaluations
-        lhs, rhs = sign * q.value, rhs_fn(t)
+        lhs = sign * q.value
+        rhs, allowance = integral_rhs(id, t)
         err = abs(lhs - rhs)
         if worst is None or err > worst[0]:
-            worst = (err, lhs, rhs, q.error_estimate)
-    _, lhs, rhs, qerr = worst
-    return _report(CatalogKey(id), lhs, qerr, rhs, evals, tolerance, "corrected")
+            worst = (err, lhs, rhs, q.error_estimate + allowance)
+    _, lhs, rhs, bound = worst
+    return _report(CatalogKey(id), lhs, bound, rhs, evals, tolerance, "corrected")
 
 
 def cross_check_clausen(
@@ -319,6 +362,8 @@ def cross_check_clausen(
 
 def reports_to_json(reports: list[VerificationReport]) -> str:
     """Deterministic JSON array of report dicts (no timing fields anywhere)."""
+    import json
+
     return json.dumps([r.to_dict() for r in reports], indent=2)
 
 

@@ -1,8 +1,13 @@
+import ast
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import zetakit
 from zetakit.cli import main
 from zetakit.specfun import riemann_zeta
 
@@ -45,7 +50,7 @@ def test_compute_other_constants(capsys):
         assert abs(float(out.split()[0].split("=")[1]) - expected) <= 1e-12
 
 
-def test_compute_usage_errors():
+def test_compute_usage_errors(capsys):
     for argv in (
         ["compute", "nope"],
         ["compute", "zeta3", "--method", "bogus"],
@@ -53,10 +58,12 @@ def test_compute_usage_errors():
         ["compute", "cl2"],         # missing --theta
         ["compute", "cl2", "--theta", "1", "--method", "bogus"],
         ["compute", "zeta"],        # missing argument
+        ["converge", "--target", "bogus"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_compute_tolerance_out_of_range():
@@ -193,3 +200,73 @@ def test_list_text(capsys):
     code, out = run(capsys, "list")
     assert code == 0
     assert "SUM_23" in out and "Eq. (23)" in out
+
+
+# --- what a cold command loads ------------------------------------------------------
+
+_PROBE = """
+import contextlib, io, sys
+sys.path.insert(0, {src!r})
+had_dataclasses = "dataclasses" in sys.modules
+{body}
+print(repr((sorted(m for m in sys.modules if m.split(".")[0] == "zetakit"),
+            had_dataclasses, "dataclasses" in sys.modules)))
+"""
+
+
+def loaded_after(body):
+    """The zetakit modules a fresh interpreter holds after running body, and
+    whether dataclasses was loaded before and after."""
+    src = os.path.dirname(os.path.dirname(zetakit.__file__))
+    out = subprocess.run([sys.executable, "-c", _PROBE.format(src=src, body=body)],
+                         capture_output=True, text=True, check=True)
+    return ast.literal_eval(out.stdout.strip().splitlines()[-1])
+
+
+SPECFUN_ONLY = ("zetakit.catalog", "zetakit.verifier", "zetakit.convergence", "zetakit.quadrature")
+NO_CHECKS = ("zetakit.verifier", "zetakit.convergence", "zetakit.quadrature")
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["compute", "catalan"], SPECFUN_ONLY),
+    (["compute", "cl2", "--theta", "1.0"], SPECFUN_ONLY),
+    (["compute", "beta", "3"], SPECFUN_ONLY),
+    (["compute", "zetaE", "0"], SPECFUN_ONLY),
+    (["compute", "zeta3"], SPECFUN_ONLY),
+    (["compute", "zeta3", "--method", "apery", "--tol", "1e-12"], NO_CHECKS),
+    (["list", "--format", "json"], NO_CHECKS),
+    (["converge", "--target", "zeta3"], ("zetakit.verifier", "zetakit.quadrature")),
+    (["verify", "--id", "THM_21", "--m", "5"], ("zetakit.convergence",)),
+])
+def test_command_loads_only_what_it_runs(argv, absent):
+    body = ("from zetakit import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({argv!r}) == 0")
+    modules, had_dataclasses, has_dataclasses = loaded_after(body)
+    assert "zetakit.cli" in modules
+    assert not set(absent) & set(modules), modules
+    assert has_dataclasses == had_dataclasses
+
+
+def test_import_zetakit_loads_no_submodule():
+    modules, had_dataclasses, has_dataclasses = loaded_after("import zetakit")
+    assert modules == ["zetakit"]
+    assert has_dataclasses == had_dataclasses
+    # a submodule name still resolves after a plain import, and loads only its layers
+    modules, _, _ = loaded_after("import zetakit\nassert zetakit.catalog.registry()")
+    assert modules == ["zetakit", "zetakit.catalog", "zetakit.exact", "zetakit.specfun",
+                       "zetakit.summation"]
+
+
+def test_lazy_exports_resolve():
+    for name in zetakit.__all__:
+        assert getattr(zetakit, name) is not None, name
+    assert zetakit.clausen_cl2 is zetakit.specfun.clausen_cl2
+    assert zetakit.verify is zetakit.verifier.verify
+    assert zetakit.quadrature is sys.modules["zetakit.quadrature"]
+    assert set(zetakit.__all__) <= set(dir(zetakit))
+    with pytest.raises(AttributeError):
+        zetakit.no_such_name
+    namespace = {}
+    exec("from zetakit import *", namespace)
+    assert set(zetakit.__all__) <= set(namespace)

@@ -242,3 +242,27 @@ def test_closed_forms_match_textbook_formulas():
     for k in range(1, _TOP // 2 + 1):
         coeff = Fraction((-1) ** (k + 1) * euler_number(2 * k), 4 * (1 - 4 ** k) * math.factorial(2 * k))
         assert zeta_e_exact(k) == PiPower(coeff, 2 * k + 1), k
+
+
+# --- records ------------------------------------------------------------------
+
+def test_exact_records_validate_and_stay_frozen():
+    with pytest.raises(ValueError, match=r"^power must be >= 0$"):
+        PiPower(Fraction(1), -1)
+    with pytest.raises(ValueError, match=r"^exponent must be >= -1$"):
+        LaurentCoeff(Fraction(1), -2)
+    # _replace builds a new record through the same check
+    with pytest.raises(ValueError, match=r"^power must be >= 0$"):
+        PiPower(Fraction(1), 2)._replace(power=-1)
+    for record in (PiPower(Fraction(1, 6), 2), LaurentCoeff(Fraction(1), -1)):
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0)
+
+
+def test_exact_records_are_named_tuples():
+    p = PiPower(Fraction(1, 6), 2)
+    assert repr(p) == "PiPower(coeff=Fraction(1, 6), power=2)"
+    assert p == (Fraction(1, 6), 2) and tuple(p) == (p.coeff, p.power)
+    assert p._asdict() == {"coeff": Fraction(1, 6), "power": 2}
+    assert repr(LaurentCoeff(Fraction(-1, 3), 1)) == "LaurentCoeff(value=Fraction(-1, 3), exponent=1)"

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 import zetakit
 from zetakit.exact import beta_odd_exact, zeta_even_exact
+from zetakit.quadrature import QuadratureResult
 from zetakit.specfun import (
     CL2_METHODS,
+    EvalResult,
     catalan,
     clausen_cl2,
     dirichlet_beta,
@@ -366,3 +368,34 @@ def test_cl2_result_invariants(theta, method):
     assert math.isfinite(res.value)
     assert res.error_bound >= 0.0 and math.isfinite(res.error_bound)
     assert res.terms_used >= 0
+
+
+# --- records ------------------------------------------------------------------
+
+def test_result_records_validate_and_stay_frozen():
+    for args, message in [
+        ((1.0, 3, -1.0), "error_bound must be finite and >= 0"),
+        ((1.0, 3, math.inf), "error_bound must be finite and >= 0"),
+        ((1.0, 3, math.nan), "error_bound must be finite and >= 0"),
+        ((1.0, -1, 0.0), "terms_used must be >= 0"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            EvalResult(*args)
+    with pytest.raises(ValueError, match="^error_bound must be finite and >= 0$"):
+        EvalResult(1.0, 3, 0.0)._replace(error_bound=-1.0)
+    with pytest.raises(ValueError, match="^error_estimate must be >= 0$"):
+        QuadratureResult(0.0, math.nan, 1)
+    with pytest.raises(ValueError, match="^evaluations must be > 0$"):
+        QuadratureResult(0.0, 0.0, 0)
+    for record in (EvalResult(1.0, 3, 0.0), QuadratureResult(0.0, 0.0, 1)):
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0)
+
+
+def test_eval_result_is_a_named_tuple():
+    res = EvalResult(1.0, 3, 0.0)
+    assert repr(res) == "EvalResult(value=1.0, terms_used=3, error_bound=0.0)"
+    value, terms, bound = res
+    assert (value, terms, bound) == res == (1.0, 3, 0.0)
+    assert EvalResult._fields == ("value", "terms_used", "error_bound")

@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetakit import catalog, verifier
+from zetakit import catalog, convergence, verifier
 from zetakit.catalog import CatalogKey
 from zetakit.quadrature import tanh_sinh
 from zetakit.specfun import catalan, clausen_cl2, riemann_zeta
 from zetakit.verifier import (
     InconclusiveError,
+    VerificationReport,
     check_binomial_identity,
     check_reciprocal_identity,
     cross_check_clausen,
+    integral_rhs,
     quadrature,
     verify,
     verify_all,
@@ -281,6 +283,52 @@ def test_cl2_defining_integral_at_one():
     assert report.abs_err <= 1e-9
 
 
+def test_integral_identities_at_rounded_cl2_arguments():
+    # pi - theta and pi - 2 theta round to 0.0 here, where Cl2 is steep; the
+    # check allows for the distance to the true argument
+    report = verify_integral_identity("INT_LOG_ONE_PLUS_COS", 1e-15, (PI,))
+    assert report.passed and report.abs_err > 1e-15
+    report = verify_integral_identity("INT_LOG_COS", 1e-15, (PI / 2,))
+    assert report.passed and report.abs_err > 1e-15
+
+
+@pytest.mark.parametrize("identity_id", verifier.INTEGRAL_IDENTITY_IDS)
+def test_integral_rhs_allowance_stays_small_on_the_grid(identity_id):
+    # at most |c| (Cl2's own bound + the drift): Cl2's bound is up to 6.9e-15
+    # on the grid's arguments and |c| = 2 for the two (1 + trig) identities
+    for theta in verifier.THETA_GRID:
+        _, allowance = integral_rhs(identity_id, theta)
+        assert 0.0 < allowance <= 1.5e-14, (theta, allowance)
+
+
+def test_integral_rhs_allowance_covers_the_true_rhs():
+    mp = pytest.importorskip("mpmath")
+
+    def exact_rhs(identity_id, theta):
+        t, cl2, log2 = mp.mpf(theta), (lambda x: mp.clsin(2, x)), mp.log(2)
+        return {
+            "INT_LOG_SIN": -cl2(2 * t) / 2 - t * log2,
+            "INT_LOG_COS": cl2(mp.pi - 2 * t) / 2 - t * log2,
+            "INT_LOG_ONE_PLUS_COS": 2 * cl2(mp.pi - t) - t * log2,
+            "INT_LOG_ONE_PLUS_SIN": 2 * mp.catalan - 2 * cl2(mp.pi / 2 + t) - t * log2,
+            "CL2_INTEGRAL": cl2(t),
+        }[identity_id]
+
+    with mp.workdps(40):
+        for identity_id in verifier.INTEGRAL_IDENTITY_IDS:
+            for theta in (PI, PI / 2, 2 * PI - 1e-9, 1e-12):
+                rhs, allowance = integral_rhs(identity_id, theta)
+                error = abs(mp.mpf(rhs) - exact_rhs(identity_id, theta))
+                assert error <= allowance, (identity_id, theta)
+
+
+def test_integral_identity_with_the_published_sign_fails(monkeypatch):
+    integrand, sign, (coeff, pi_multiple, scale), rhs = verifier._INTEGRAL_IDENTITIES["INT_LOG_COS"]
+    monkeypatch.setitem(verifier._INTEGRAL_IDENTITIES, "INT_LOG_COS",
+                        (integrand, sign, (-coeff, pi_multiple, scale), rhs))
+    assert not verify_integral_identity("INT_LOG_COS", 1e-10).passed
+
+
 def test_integral_identity_unknown_id():
     with pytest.raises(ValueError):
         verify_integral_identity("INT_LOG_TAN", 1e-8)
@@ -310,3 +358,32 @@ def test_cross_check_near_period_boundary():
 def test_cross_check_validates_grid():
     with pytest.raises(ValueError):
         cross_check_clausen(4, 1e-9)
+
+
+# --- records --------------------------------------------------------------------
+
+def test_records_are_frozen():
+    report = verify(CatalogKey("SUM_23"), 1e-10)[0]
+    records = [
+        CatalogKey("THM_21", 5),
+        catalog.get("THM_21"),
+        catalog.list_identities()[0],
+        report,
+        convergence.profile(CatalogKey("SUM_23"), 1e-6),
+    ]
+    for record in records:
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+
+
+def test_record_reprs():
+    assert repr(CatalogKey("THM_21", 5)) == "CatalogKey(id='THM_21', param=5)"
+    assert repr(CatalogKey("SUM_9")) == "CatalogKey(id='SUM_9', param=None)"
+    report = VerificationReport(CatalogKey("SUM_23"), 0.5, 0.5, 0.0, 0.0, 40, 1e-10, "corrected", True)
+    assert repr(report) == (
+        "VerificationReport(key=CatalogKey(id='SUM_23', param=None), lhs=0.5, rhs=0.5, abs_err=0.0,"
+        " rel_err=0.0, n_terms=40, tolerance=1e-10, variant='corrected', passed=True,"
+        " inconclusive=False)"
+    )
+    assert report._replace(inconclusive=True).to_dict()["inconclusive"] is True
