@@ -20,7 +20,7 @@ import os
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, count, islice
+from itertools import accumulate, count, islice, repeat
 from typing import Callable, Iterator, Optional
 
 from .exact import taylor_coeff
@@ -164,37 +164,9 @@ def _poly_geom_tail(p: Callable[[int], float], ratio: float, major: float) -> Ca
     return tail
 
 
-def _ratio_capped_steps(
-    terms: Iterator[tuple[float, float]], q_star: float
-) -> Iterator[tuple[float, float]]:
-    """(t(n), tail(n)) for n = N, N+1, ..., from the (t(n), cap(n)) pairs of
-    a binomial-weighted series starting at n = N; each term is read once.
-
-    M is the first n > N with a nonzero term whose ratio cap is at or below
-    q_star.  The tail at M-1 is the geometric closure |t(M)|/(1 - cap(M));
-    each earlier one adds its next term, tail(n) = |t(n+1)| + tail(n+1).  A
-    float sum of non-negative terms cannot shrink, so these tails are
-    non-increasing.  Past M, tail(n) closes at n+1 the same way: caps are
-    nonincreasing and a nonzero binomial stays nonzero, so n+1 is the first
-    closure point after n.
-
-    cap(n) must bound |t(j+1)/t(j)| for every j >= n with positive terms,
-    and be nonincreasing in n; both hold for the binomial families.
-    """
-    head = [next(terms)[0]]
-    for t, cap in terms:
-        head.append(t)
-        if t != 0.0 and cap <= q_star:
-            break
-    tails = accumulate(map(abs, reversed(head[1:-1])), initial=abs(t) / (1.0 - cap))
-    yield from zip(head, reversed(list(tails)))
-    prev = head[-1]
-    for t, cap in terms:
-        yield prev, abs(t) / (1.0 - cap)
-        prev = t
-
-
 # --- registry construction ---------------------------------------------------
+
+_MIN_NORMAL = math.ldexp(1.0, -1022)  # the least normal float
 
 
 def _zeta_ratio_term(p: Callable[[int], float], ratio: float, minus_one: bool = False) -> TermFn:
@@ -264,6 +236,8 @@ def _binom_family(
 ) -> IdentityDescriptor:
     ratio = 1.0 / inv_pow
     q_star = 0.5 if inv_pow == 4 else 0.2
+    # term_fn's denominator is n << (shift * n): n inv_pow^n, times 4^n when weighted
+    shift = inv_pow.bit_length() - 1 + (2 if weighted else 0)
 
     def term_fn(param: int | None, n: int) -> float:
         m = choose(param)
@@ -276,38 +250,58 @@ def _binom_family(
         # int / int is correctly rounded (OverflowError past float range)
         return zeta_even_float(n) * (num / den)
 
-    def terms(param: int | None, N: int) -> Iterator[tuple[float, float]]:
-        """(term_fn(param, n), cap(n)) for n = N, N+1, ..., one pass.
+    def steps_fn(param: int | None, N: int) -> Iterator[tuple[float, float]]:
+        """(term_fn(param, n), tail(n)) for n = N, N+1, ..., one pass.
 
-        math.comb runs once, at the first nonzero term; each later binomial
-        follows from C(T+2, m) = C(T, m) (T+2)(T+1) / ((T+2-m)(T+1-m)),
-        which is exact in integers, and the powers grow by multiplication.
-        The integers are term_fn's, so every term is the same float.  cap(n)
-        bounds |t(j+1)/t(j)| for j >= n; a zero term gets cap inf.
+        math.comb runs once; later binomials follow exactly from C(T+2, m) =
+        C(T, m) (T+2)(T+1) / ((T+2-m)(T+1-m)).  term_fn's quotient num / (n <<
+        shift*n) is correctly rounded, and a power-of-two scale commutes with
+        rounding among normal floats, so ldexp(num / n, -shift*n) equals it
+        whenever it exceeds the least normal (a subnormal can round up to
+        that); otherwise, or when num / n overflows, term_fn's division runs.
+
+        M is the first n > N with a nonzero binomial and cap(n) <= q_star;
+        cap(n) bounds |t(j+1)/t(j)| for j >= n and is nonincreasing.  tail(M-1)
+        = |t(M)|/(1 - cap(M)) and tail(n) = |t(n+1)| + tail(n+1) below: float
+        sums of non-negative terms, so non-increasing, and one tail for all
+        leading zero binomials.  Past M, tail(n) closes at n+1.  A term that
+        underflows to 0.0 closes with tail 0 (the true tail is below 1e-300).
         """
         m = choose(param)
-        n = N
-        while 2 * n + top_offset < m:
-            yield 0.0, math.inf
-            n += 1
+        n = max(N, (m - top_offset + 1) // 2)  # first n >= N with 2n + top_offset >= m
         top = 2 * n + top_offset
         c = math.comb(top, m)
-        pow_n, four_n = inv_pow ** n, 4 ** n
+        quarter_n = 4.0 ** -n
+        # the zero term before the first nonzero one carries the zero block's tail
+        head = [0.0] if n > N else []
+        zeros = n - N - 1
         while True:
-            num, den = c, n * pow_n
-            if weighted:
-                num, den = c * (four_n - 1), den * four_n
+            num = (c << 2 * n) - c if weighted else c  # c (4^n - 1)
+            try:
+                q = math.ldexp(num / n, -shift * n)
+            except OverflowError:
+                q = 0.0
+            if q <= _MIN_NORMAL:
+                q = num / (n << shift * n)
+            t = zeta_even_float(n) * q
             shrink = (top + 2 - m) * (top + 1 - m)
             cap = ratio * (top + 2) * (top + 1) / shrink
             if weighted:
-                cap *= (1.0 - 4.0 ** (-(n + 1))) / (1.0 - 4.0 ** (-n))
-            yield zeta_even_float(n) * (num / den), cap
+                cap *= (1.0 - 0.25 * quarter_n) / (1.0 - quarter_n)
+            if head is None:
+                yield prev, abs(t) / (1.0 - cap)
+            else:
+                head.append(t)
+                if n > N and cap <= q_star:
+                    tails = list(accumulate(map(abs, reversed(head[1:-1])),
+                                            initial=abs(t) / (1.0 - cap)))
+                    tails.reverse()
+                    yield from repeat((0.0, tails[0]), zeros)
+                    yield from zip(head, tails)
+                    head = None
+            prev = t
             c = c * (top + 2) * (top + 1) // shrink
-            n, top = n + 1, top + 2
-            pow_n, four_n = pow_n * inv_pow, four_n * 4
-
-    def steps_fn(param: int | None, N: int) -> Iterator[tuple[float, float]]:
-        return _ratio_capped_steps(terms(param, N), q_star)
+            n, top, quarter_n = n + 1, top + 2, quarter_n * 0.25
 
     return IdentityDescriptor(
         id=id,
@@ -779,17 +773,23 @@ def evaluate(key: CatalogKey, tolerance: float) -> EvalResult:
     offset, scale = assembly(key)
     size = abs(scale)
     cap = max_terms()
-    acc = CompensatedSum()
-    # partial_sums' loop, inlined: this scan is nearly all of verify_all's time
+    # partial_sums' loop, inlined: this scan is nearly all of verify_all's
+    # time.  hi and lo are CompensatedSum's, updated in the same order.
+    hi = lo = 0.0
     for terms, (t, tail) in enumerate(entry.steps_fn(param, entry.start_index), 1):
         if terms > cap:
             raise InconclusiveError(
                 f"{key.label()}: tail bound still above {tolerance/2:g} at the {cap}-term cap"
             )
-        acc.add(t)
+        s = hi + t
+        if abs(hi) >= abs(t):
+            lo += (hi - s) + t
+        else:
+            lo += (t - s) + hi
+        hi = s
         bound = size * (tail + TAIL_FLOOR)
         if bound <= 0.5 * tolerance:
-            return EvalResult(offset + scale * acc.value, terms, bound)
+            return EvalResult(offset + scale * (hi + lo), terms, bound)
 
 
 def depth_for(key: CatalogKey, tolerance: float) -> int:

@@ -7,11 +7,16 @@ math.comb, and every family tail from the suffix rule
 tail(N) = |t(N+1)| + ... + |t(M-1)| + |t(M)|/(1 - cap(M)), rebuilt at each N.
 """
 
+import ast
 import math
-from itertools import islice
+import os
+import subprocess
+import sys
+from itertools import count, islice
 
 import pytest
 
+import zetakit
 from zetakit import catalog, verifier
 from zetakit.catalog import CatalogKey, InconclusiveError
 from zetakit.summation import CompensatedSum
@@ -53,14 +58,20 @@ class Reference:
             cap *= (1.0 - 4.0 ** (-(n + 1))) / (1.0 - 4.0 ** (-n))
         return cap
 
+    def nonzero(self, n):
+        # C(T, m) is nonzero exactly when T >= m
+        top_offset, lower, _, _ = FAMILY_SHAPES[self.key.id]
+        return 2 * n + top_offset >= lower(self.key.param)
+
     def tails(self, N):
-        """Tails at N, N+1, ..., M-1; M is the first n > N with a nonzero term
-        whose cap is at most q* (1/2, or 1/5 for the 16^-n family)."""
+        """Tails at N, N+1, ..., M-1; M is the first n > N with a nonzero
+        binomial whose cap is at most q* (1/2, or 1/5 for the 16^-n family).
+        A term that underflows to 0.0 still closes, with tail 0."""
         if not self.entry.is_family:
             return [next(self.entry.steps_fn(self.key.param, N))[1]]
         q_star = 0.2 if FAMILY_SHAPES[self.key.id][2] == 16 else 0.5
         n = N + 1
-        while not (self.term(n) != 0.0 and self._cap(n) <= q_star):
+        while not (self.nonzero(n) and self._cap(n) <= q_star):
             n += 1
         tails = [abs(self.term(n)) / (1.0 - self._cap(n))]
         for j in range(n - 1, N, -1):
@@ -71,9 +82,9 @@ class Reference:
         start = self.entry.start_index
         return start + len(self.tails(start))
 
-    def steps(self):
-        """(n, term(n), tail(n)) for n = start_index, start_index + 1, ..."""
-        n = self.entry.start_index
+    def steps(self, N=None):
+        """(n, term(n), tail(n)) for n = N, N + 1, ...; N defaults to start_index."""
+        n = self.entry.start_index if N is None else N
         while True:
             for tail in self.tails(n):
                 yield n, self.term(n), tail
@@ -156,6 +167,105 @@ def test_family_table_matches_term_fn_up_to_cap(id_):
         length = ref.closure_point() - entry.start_index + 3
         expected = [(t, tail) for _, t, tail in islice(ref.steps(), length)]
         assert list(islice(entry.steps_fn(p, entry.start_index), length)) == expected, p
+
+
+def _hex(steps):
+    return [(t.hex(), tail.hex()) for t, tail in steps]
+
+
+def _reference_stream(key, N, through=0):
+    """Reference's (term, tail) pairs from N, as float.hex, up to the closure
+    point from N plus two, and at least up to n = through."""
+    ref = Reference(key)
+    length = max(len(ref.tails(N)) + 3, through - N + 1)
+    return _hex((t, tail) for _, t, tail in islice(ref.steps(N), length))
+
+
+_STREAM_PROBE = """
+import sys
+sys.path.insert(0, {src!r})
+from itertools import islice
+from zetakit import catalog
+for id_, param, N, length in {requests!r}:
+    print([(t.hex(), tail.hex()) for t, tail in islice(catalog.get(id_).steps_fn(param, N), length)])
+"""
+
+
+def _library_streams(requests):
+    """steps_fn(param, N)'s first `length` pairs, as float.hex, for each
+    (id, param, N, length); read in a subprocess, so that a stream that never
+    closes fails the test at the timeout instead of hanging the suite."""
+    src = os.path.dirname(os.path.dirname(zetakit.__file__))
+    out = subprocess.run([sys.executable, "-c", _STREAM_PROBE.format(src=src, requests=requests)],
+                         capture_output=True, text=True, timeout=60, check=True)
+    return [ast.literal_eval(line) for line in out.stdout.splitlines()]
+
+
+# where steps_fn's ldexp(num / n, ...) shortcut is not term_fn's quotient and
+# it falls back to term_fn's division: num / n overflows (SUM_38(256) from
+# n = 700, where num has 2722+ bits), or the term is subnormal or 0.0.  At
+# THM_21(8), n = 540, ldexp's own rounding into the subnormals is one ulp off.
+FALLBACKS = [(CatalogKey("SUM_38", 256), 700, 720),
+             (CatalogKey("THM_21", 1), 500, 560),
+             (CatalogKey("THM_29", 1), 250, 290),
+             (CatalogKey("THM_21", 8), 530, 550)]
+
+
+@pytest.mark.parametrize("key, lo, hi", FALLBACKS, ids=[key.label() for key, _, _ in FALLBACKS])
+def test_family_stream_fallbacks_match_term_fn(key, lo, hi):
+    entry = catalog.get(key.id)
+    terms = [entry.term_fn(key.param, n) for n in range(lo, hi + 1)]
+    if key.id == "SUM_38":
+        c = math.comb(2 * lo, 2 * key.param + 1)
+        with pytest.raises(OverflowError):
+            c * (4 ** lo - 1) / lo
+    else:
+        assert any(0.0 < t < 2.0 ** -1022 for t in terms)
+    # the stream from N = 1 read through hi + 2, then one from each N in lo..hi
+    expected = [_reference_stream(key, 1, through=hi + 2)]
+    expected += [_reference_stream(key, N) for N in range(lo, hi + 1)]
+    starts = [1, *range(lo, hi + 1)]
+    got = _library_streams([(key.id, key.param, N, len(e)) for N, e in zip(starts, expected)])
+    for N, g, e in zip(starts, got, expected):
+        assert g == e, N
+
+
+# the first N at which each key's float terms are 0.0 from N + 1 on
+UNDERFLOWS = [(CatalogKey("THM_21", 1), 537), (CatalogKey("THM_21", 64), 719),
+              (CatalogKey("SUM_28", 1), 542), (CatalogKey("THM_29", 1), 268),
+              (CatalogKey("THM_29", 64), 342), (CatalogKey("SUM_37", 1), 542),
+              (CatalogKey("SUM_38", 0), 537)]
+
+
+def test_family_tail_closes_past_underflow():
+    # once the float terms underflow to 0.0 each tail is 0 and tail_bound is
+    # TAIL_FLOOR: the true tail there is below 1e-300
+    got = _library_streams([(key.id, key.param, N, 3) for key, N in UNDERFLOWS])
+    for (key, N), stream in zip(UNDERFLOWS, got):
+        term_fn = catalog.get(key.id).term_fn
+        assert stream == _hex((term_fn(key.param, n), 0.0) for n in range(N, N + 3)), key.label()
+        assert [catalog.tail_bound(key, n) for n in range(N, N + 3)] == [catalog.TAIL_FLOOR] * 3
+
+
+ZERO_BLOCK_KEYS = [CatalogKey(id_, p) for id_ in ("THM_21", "SUM_28", "SUM_37", "SUM_38")
+                   for p in (1, 2, 31, 32, 63, 64)] + [CatalogKey("THM_29", 64)]
+
+
+@pytest.mark.parametrize("key", ZERO_BLOCK_KEYS, ids=CatalogKey.label)
+def test_family_stream_from_each_n_through_zero_block(key):
+    # the leading zero binomials come as one block sharing the tail before
+    # the first nonzero term; a stream may start inside it or past it
+    first = next(n for n in count(1) if Reference(key).nonzero(n))
+    for N in range(1, first + 3):
+        expected = _reference_stream(key, N)
+        assert _hex(islice(catalog.get(key.id).steps_fn(key.param, N), len(expected))) == expected, N
+
+
+def test_thm29_stops_inside_zero_block():
+    # C(2n, m) = 0 for n < m/2 and the first nonzero term is below 1e-20, so
+    # the tail at n = 1 already clears 1e-13 / 2
+    for m in range(33, 65):
+        assert [r.n_terms for r in verifier.verify(CatalogKey("THM_29", m), 1e-13)] == [1], m
 
 
 # the tolerances and keys (every family parameter up to 64) of the depth rule's
