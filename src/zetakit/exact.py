@@ -1,12 +1,19 @@
-"""Exact integer/rational core: Bernoulli and Euler numbers, binomials,
-the Laurent coefficients of tan/cot/sec/csc, and pi-power closed forms.
+"""Exact core: zigzag, Bernoulli, Euler and binomial numbers, the Laurent
+coefficients of tan/cot/sec/csc, and pi-power closed forms.
 
-Every constant is a cot or sec coefficient: zeta(2n), beta(2n+1) and
-zeta_E(2k) are read off them by exact identities, and tan and csc rescale cot.
+Exactness is one integer table, the zigzag numbers A_k = 1, 1, 1, 2, 5, 16,
+61, 272, ... of sec x + tan x = sum A_k x^k/k! (Andre), grown one
+Seidel-Entringer boustrophedon row per number.  Every coefficient is A_k/k!
+times a small factor: tan and sec at x^k are A_k/k!; cot is
+-A_k/((2^(k+1) - 1) k!), and 1 at k = -1; csc is cot times 2^-k - 1;
+B_2n = (-1)^(n-1) 2n A_(2n-1)/(4^n (4^n - 1)) and E_2n = (-1)^n A_2n.
+zeta(2n), beta(2n+1) and zeta_E(2k) are read off cot and sec, so each of
+their floats is one correctly rounded integer quotient times a power of pi.
+`fractions.Fraction` appears only at the API boundary: the functions that
+return one import it when called, and `Rational` resolves to it on first use.
 
-Everything here is exact `fractions.Fraction` / `int` arithmetic.  The
-Bernoulli convention is B_1 = -1/2 (the z/(e^z - 1) generating function);
-the rival B_1 = +1/2 convention is deliberately not used anywhere.
+B_1 = -1/2 (the z/(e^z - 1) generating function); the rival B_1 = +1/2
+convention is deliberately not used anywhere.
 """
 
 from __future__ import annotations
@@ -14,13 +21,20 @@ from __future__ import annotations
 import math
 import threading
 from collections import namedtuple
-from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "Rational",
     "PiPower",
     "LaurentCoeff",
     "binomial",
+    "zigzag",
+    "bernoulli_pair",
     "bernoulli",
     "euler_number",
     "zeta_even_exact",
@@ -30,8 +44,13 @@ __all__ = [
     "TRIG_FUNCTIONS",
 ]
 
-# Exact rationals are stdlib fractions: always lowest terms, denominator > 0.
-Rational = Fraction
+
+def __getattr__(name: str):  # Rational is fractions.Fraction, imported on first use (PEP 562)
+    if name != "Rational":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from fractions import Fraction
+
+    return Fraction
 
 
 class PiPower(namedtuple("PiPower", "coeff power")):
@@ -78,53 +97,59 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-# Memo tables grow monotonically under a lock; completed prefixes are
-# immutable, so concurrent readers are safe.
-_bernoulli_cache: list[Fraction] = [Fraction(1)]
-_bernoulli_lock = threading.Lock()
+# The table grows under the lock, one boustrophedon row (_row, the newest)
+# per number; a completed prefix is immutable, so readers need no lock.
+_zigzag: list[int] = [1]
+_row: list[int] = [1]
+_lock = threading.Lock()
 
-_euler_cache: list[int] = [1]
-_euler_lock = threading.Lock()
+
+def zigzag(k: int) -> int:
+    """The zigzag number A_k, the coefficient of x^k/k! in sec x + tan x.
+
+    Boustrophedon row n is the running sums, from 0, of row n - 1 read
+    backwards; its last entry is A_n.
+    """
+    if k < 0:
+        raise ValueError("zigzag requires k >= 0")
+    if k >= len(_zigzag):
+        with _lock:
+            while len(_zigzag) <= k:
+                # slice assignment reads the whole iterator before it writes
+                _row[:] = accumulate(reversed(_row), initial=0)
+                _zigzag.append(_row[-1])
+    return _zigzag[k]
+
+
+@lru_cache(maxsize=None)
+def bernoulli_pair(n: int) -> tuple[int, int]:
+    """B_n (B_1 = -1/2) as (numerator, denominator) in lowest terms.  Memoised."""
+    if n < 0:
+        raise ValueError("bernoulli requires n >= 0")
+    if n < 2:
+        return ((1, 1), (-1, 2))[n]
+    if n % 2:
+        return 0, 1
+    num = (-1) ** (n // 2 - 1) * n * zigzag(n - 1)
+    den = 4 ** (n // 2) * (4 ** (n // 2) - 1)
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def bernoulli(n: int) -> Fraction:
-    """Exact Bernoulli number B_n (B_1 = -1/2).
+    """Exact Bernoulli number B_n (B_1 = -1/2)."""
+    from fractions import Fraction
 
-    Generated by the recurrence sum_{k=0}^{n} C(n+1, k) B_k = 0, which pins
-    the same sequence as the z/(e^z - 1) generating function.
-    """
-    if n < 0:
-        raise ValueError("bernoulli requires n >= 0")
-    if n >= len(_bernoulli_cache):
-        with _bernoulli_lock:
-            while len(_bernoulli_cache) <= n:
-                m = len(_bernoulli_cache)
-                acc = Fraction(0)
-                for k in range(m):
-                    acc += math.comb(m + 1, k) * _bernoulli_cache[k]
-                _bernoulli_cache.append(-acc / (m + 1))
-    return _bernoulli_cache[n]
+    return Fraction(*bernoulli_pair(n))
 
 
 def euler_number(n: int) -> int:
-    """Exact Euler number E_n (secant numbers; E_n = 0 for odd n).
-
-    Generated by sum_{k=0}^{m} C(2m, 2k) E_{2k} = 0 for m >= 1.
-    """
+    """Exact Euler number E_n (secant numbers): E_2m = (-1)^m A_2m, odd E_n = 0."""
     if n < 0:
         raise ValueError("euler_number requires n >= 0")
     if n % 2 == 1:
         return 0
-    half = n // 2
-    if half >= len(_euler_cache):
-        with _euler_lock:
-            while len(_euler_cache) <= half:
-                m = len(_euler_cache)
-                acc = 0
-                for k in range(m):
-                    acc += math.comb(2 * m, 2 * k) * _euler_cache[k]
-                _euler_cache.append(-acc)
-    return _euler_cache[half]
+    return -zigzag(n) if n % 4 else zigzag(n)
 
 
 TRIG_FUNCTIONS = ("tan", "cot", "sec", "csc")
@@ -133,12 +158,13 @@ TRIG_FUNCTIONS = ("tan", "cot", "sec", "csc")
 def taylor_coeff(function_id: str, k: int) -> LaurentCoeff:
     """Exact coefficient of x**k in the expansion of tan, cot, sec or csc.
 
-    cot comes from the Bernoulli numbers and sec from the Euler numbers;
-    tan x = cot x - 2 cot 2x and csc x = cot(x/2) - cot x rescale the cot
-    coefficient.  cot and csc carry a genuine x**-1 leading term, kept at
-    exponent -1 instead of clearing denominators.  Parity-excluded powers
-    return 0.
+    tan and sec read A_k/k! directly; tan x = cot x - 2 cot 2x and
+    csc x = cot(x/2) - cot x rescale it for cot and csc.  cot and csc carry
+    a genuine x**-1 leading term, kept at exponent -1 instead of clearing
+    denominators.  Parity-excluded powers return 0.
     """
+    from fractions import Fraction
+
     if function_id not in TRIG_FUNCTIONS:
         raise ValueError(f"unknown function id {function_id!r}")
     if k < -1:
@@ -148,15 +174,13 @@ def taylor_coeff(function_id: str, k: int) -> LaurentCoeff:
     odd = function_id != "sec"  # sec is even; tan, cot and csc are odd
     if k % 2 != odd:
         return LaurentCoeff(Fraction(0), k)
-    if function_id == "sec":
-        return LaurentCoeff(Fraction((-1) ** (k // 2) * euler_number(k), math.factorial(k)), k)
-    # cot: x^(2n-1) for n >= 0 (x^-1 at n = 0)
-    n = (k + 1) // 2
-    value = (-1) ** n * 2 ** (2 * n) * bernoulli(2 * n) / math.factorial(2 * n)
-    if function_id == "tan":  # tan x = cot x - 2 cot 2x
-        value *= 1 - 2 ** (k + 1)
-    elif function_id == "csc":  # csc x = cot(x/2) - cot x; 2^-k is 2 at k = -1
-        value *= Fraction(2) ** -k - 1
+    if k == -1:  # cot and csc both open with 1/x
+        return LaurentCoeff(Fraction(1), k)
+    value = Fraction(zigzag(k), math.factorial(k))
+    if function_id in ("cot", "csc"):
+        value /= 1 - 2 ** (k + 1)
+    if function_id == "csc":
+        value *= Fraction(1, 2 ** k) - 1
     return LaurentCoeff(value, k)
 
 
@@ -188,4 +212,4 @@ def zeta_e_exact(k: int) -> PiPower:
     """
     if k < 1:
         raise ValueError("zeta_e_exact requires k >= 1 (k = 0 is singular)")
-    return PiPower(beta_odd_exact(k).coeff / (1 - Fraction(1, 4 ** k)), 2 * k + 1)
+    return PiPower(beta_odd_exact(k).coeff * 4 ** k / (4 ** k - 1), 2 * k + 1)

@@ -16,7 +16,7 @@ import sys
 import threading
 from collections import namedtuple
 
-from .exact import bernoulli, zeta_e_exact, zeta_even_exact
+from .exact import bernoulli_pair, zigzag
 from .summation import CompensatedSum
 
 __all__ = [
@@ -45,6 +45,7 @@ _EM_HEAD = 20
 _EM_DEPTH = 10
 
 _ULPS = 16 * sys.float_info.epsilon  # rounding allowance folded into bounds
+_PI_REL_ERR = 3.9e-17  # (pi - math.pi)/math.pi = 3.8982e-17, rounded up
 
 _CVZ_TERMS = 48  # alternating-series acceleration depth for 0 < s < 1
 
@@ -87,8 +88,9 @@ class EvalResult(namedtuple("EvalResult", "value terms_used error_bound")):
 
 
 def _bern_over_fact(k: int) -> float:
-    # B_{2k} / (2k)! as a float
-    return float(bernoulli(2 * k)) / math.factorial(2 * k)
+    # B_{2k} / (2k)! as a float: the correctly rounded B_{2k}, then the division
+    num, den = bernoulli_pair(2 * k)
+    return num / den / math.factorial(2 * k)
 
 
 def _power_sum_tail(s: float, x: float) -> tuple[float, float]:
@@ -190,12 +192,15 @@ def hurwitz_zeta(s: float, a: float) -> EvalResult:
 def dirichlet_beta(s: float) -> EvalResult:
     """Dirichlet beta(s) for s >= 1, via 4^-s (zeta(s,1/4) - zeta(s,3/4)).
 
-    s = 1 returns pi/4 (the alternating-odd series limit).
+    s = 1 returns pi/4 (the alternating-odd series limit).  From s = 512, where
+    4^s overflows, it returns 1.0: beta(s) = 1 - 3^-s + 5^-s - ... is within 3^-s.
     """
     if not (s >= 1.0 and math.isfinite(s)):
         raise ValueError("dirichlet_beta requires finite s >= 1")
     if s == 1.0:
         return EvalResult(math.pi / 4.0, 0, _ULPS * math.pi / 4.0)
+    if s >= 512.0:
+        return EvalResult(1.0, 1, _ULPS)
     h14 = hurwitz_zeta(s, 0.25)
     h34 = hurwitz_zeta(s, 0.75)
     scale = 4.0 ** (-s)
@@ -218,9 +223,11 @@ def euler_gamma() -> EvalResult:
     value = harmonic.value - math.log(n) - 0.5 / n
     power = 1.0 / (n * n)
     for k in range(1, _EM_DEPTH + 1):
-        value += float(bernoulli(2 * k)) / (2 * k) * power
+        num, den = bernoulli_pair(2 * k)
+        value += num / den / (2 * k) * power
         power /= n * n
-    trunc = abs(float(bernoulli(2 * _EM_DEPTH + 2)) / (2 * _EM_DEPTH + 2) * power)
+    num, den = bernoulli_pair(2 * _EM_DEPTH + 2)
+    trunc = abs(num / den / (2 * _EM_DEPTH + 2) * power)
     return EvalResult(value, n, trunc + _ULPS * abs(value))
 
 
@@ -241,22 +248,27 @@ def polygamma(order: int, z: float) -> EvalResult:
 
 
 def zeta_e_weighted(k: int) -> EvalResult:
-    """zeta_E(2k) (1 - 4^-k) for k >= 1; pi/4 at k = 0.
+    """zeta_E(2k) (1 - 4^-k) = beta(2k+1) for k >= 0; pi/4 at k = 0.
 
-    The weighted value is beta(2k+1), so k = 0 gives beta(1) = pi/4, the
-    same formula and no separate limit.
+    For 1 <= k <= 308 it is the exact A_2k / ((2k)! 4 (4^k - 1)), A the
+    zigzag numbers, times math.pi**(2k+1) (1 - 4^-k); the bound charges 2k+1
+    times math.pi's relative error, and 4 eps for pow and four roundings.
+    Otherwise it is dirichlet_beta(2k+1): pi/4, or 1.0 once that coefficient
+    turns subnormal.
     """
     if k < 0:
         raise ValueError("zeta_e_weighted requires k >= 0")
-    if k == 0:
-        return EvalResult(math.pi / 4.0, 0, _ULPS * math.pi / 4.0)
-    value = zeta_e_exact(k).numeric() * (1.0 - 4.0 ** (-k))
-    return EvalResult(value, 0, _ULPS * abs(value))
+    if k == 0 or k > 308:
+        return dirichlet_beta(2.0 * k + 1.0)
+    coeff = zigzag(2 * k) / (math.factorial(2 * k) * 4 * (4 ** k - 1))
+    value = coeff * math.pi ** (2 * k + 1) * (1.0 - 4.0 ** (-k))
+    rounding = (2 * k + 1) * _PI_REL_ERR + 4 * sys.float_info.epsilon
+    return EvalResult(value, 0, max(_ULPS, rounding) * abs(value))
 
 
 # --- cached float views of zeta at even integers ---------------------------
 
-_Z2_EXACT_LIMIT = 30  # beyond this the exact rational route buys nothing
+_Z2_EXACT_LIMIT = 30  # not a cost limit: reports print the n > 30 route's bits
 
 _z2_cache: dict[int, float] = {}
 _z2m1_cache: dict[int, float] = {}
@@ -266,9 +278,9 @@ _z2_lock = threading.Lock()
 def zeta_even_float(n: int) -> float:
     """zeta(2n) as a float, with zeta(0) = -1/2 at n = 0.  Cached.
 
-    Small n converts the exact pi-power closed form once; past n = 30 the
-    value is 1 + zeta_minus_one(2n), which is exact to the last ulp and
-    avoids enormous Bernoulli numerators.
+    Small n takes the exact A_(2n-1) / (2 (4^n - 1) (2n-1)!), A the zigzag
+    numbers, as one correctly rounded quotient times math.pi**(2n); past
+    n = 30 the value is 1 + zeta_minus_one(2n), which is within an ulp.
     """
     if n < 0:
         raise ValueError("zeta_even_float requires n >= 0")
@@ -277,7 +289,7 @@ def zeta_even_float(n: int) -> float:
     v = _z2_cache.get(n)
     if v is None:
         if n <= _Z2_EXACT_LIMIT:
-            v = zeta_even_exact(n).numeric()
+            v = zigzag(2 * n - 1) / (2 * (4 ** n - 1) * math.factorial(2 * n - 1)) * math.pi ** (2 * n)
         else:
             v = 1.0 + zeta_minus_one(2.0 * n).value
         with _z2_lock:

@@ -101,6 +101,30 @@ def test_quarter_pi_bound_covers_the_rounding():
             assert _within_bound(res, mp.pi / 4)
 
 
+def _beta(s):
+    """beta(s) = 4^-s (zeta(s, 1/4) - zeta(s, 3/4)) for s > 1."""
+    return (mp.zeta(s, mp.mpf(1) / 4) - mp.zeta(s, mp.mpf(3) / 4)) / mp.mpf(4) ** s
+
+
+def test_zeta_e_weighted_bound_at_every_k_to_400():
+    # zeta_E(2k)(1 - 4^-k) = beta(2k+1).  math.pi**(2k+1) carries 2k+1 times
+    # the relative error of math.pi, past 16 eps from k = 45; the exact
+    # coefficient is subnormal from k = 309 and pi**621 overflows
+    with mp.workdps(40):
+        for k in range(401):
+            res = zeta_e_weighted(k)
+            truth = mp.pi / 4 if k == 0 else _beta(mp.mpf(2 * k + 1))
+            assert abs(mp.mpf(res.value) - truth) <= mp.mpf(res.error_bound), k
+
+
+@pytest.mark.parametrize("s", [511.0, 511.99, 512.0, 513.0, 600.0, 1e6])
+def test_beta_bound_where_four_to_the_s_overflows(s):
+    # the Hurwitz route's head term 0.25^-s overflows from s = 512
+    res = dirichlet_beta(s)
+    with mp.workdps(40):
+        assert abs(mp.mpf(res.value) - _beta(mp.mpf(s))) <= mp.mpf(res.error_bound)
+
+
 def _excess(m: int):
     """lambda(m) - 1 for even m, where lambda(m) = zeta(m)(1 - 2^-m), and
     beta(m) - 1 for odd m, from Hurwitz zetas so that nothing cancels:

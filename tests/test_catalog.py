@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -85,6 +86,71 @@ def test_closed_form_internal_consistency_exact():
     assert catalog.closed_form(CatalogKey("THM_21", 3)) == catalog.closed_form(CatalogKey("SUM_24")) / 3.0
     assert catalog.closed_form(CatalogKey("THM_29", 1)) == 2.0 * catalog.closed_form(CatalogKey("SUM_31"))
     assert catalog.closed_form(CatalogKey("THM_29", 2)) == catalog.closed_form(CatalogKey("SUM_33"))
+
+
+# The closed forms as pi polynomials with Fraction coefficients, built from the
+# textbook Bernoulli and Euler references and summed as float(coeff) * pi**power
+# in ascending power order.  The catalogue builds the same coefficients from
+# the zigzag table as integer quotients; every float must agree bit for bit.
+
+def _fraction_pi_poly(coeffs):
+    acc = 0.0
+    for power in sorted(coeffs):
+        acc += float(coeffs[power]) * PI ** power
+    return acc
+
+
+def _lambda_beta(m, bern, euler):
+    # lambda(m)/pi^m = zeta(m)(1 - 2^-m)/pi^m for even m, beta(m)/pi^m for odd m
+    if m % 2 == 0:
+        zeta = (-1) ** (m // 2 + 1) * bern[m] * Fraction(2 ** (m - 1), math.factorial(m))
+        return zeta * (1 - Fraction(1, 2 ** m))
+    j = (m - 1) // 2
+    return Fraction((-1) ** j * euler[2 * j], 4 ** (j + 1) * math.factorial(2 * j))
+
+
+def _fraction_closed_forms(bern, euler):
+    """{(id, param, printed): coefficient map} for every pi-polynomial closed form."""
+    def lb(m):
+        return _lambda_beta(m, bern, euler)
+
+    maps = {
+        ("SUM_23", None, False): {0: Fraction(1, 2)},
+        ("SUM_24", None, False): {0: Fraction(1)},
+        ("SUM_25", None, False): {0: Fraction(-1, 2), 2: Fraction(1, 8)},
+        ("SUM_26", None, False): {2: Fraction(1, 16)},
+        ("SUM_27", None, False): {2: Fraction(3, 32)},
+        ("SUM_31", None, False): {0: Fraction(1, 2), 1: Fraction(-1, 8)},
+        ("SUM_33", None, False): {0: Fraction(-1, 2), 2: Fraction(1, 16)},
+        ("SUM_34", None, False): {0: Fraction(1), 3: Fraction(-1, 32)},
+        ("SUM_34", None, True): {0: Fraction(1), 3: Fraction(-1, 96)},
+        ("SUM_35", None, False): {1: Fraction(-1, 16), 2: Fraction(1, 32)},
+        ("SUM_36", None, False): {1: Fraction(-1, 32), 2: Fraction(3, 64), 3: Fraction(-1, 128)},
+    }
+    for p in range(1, catalog.PARAM_CAP + 1):
+        sign = 1 if p % 2 == 0 else -1
+        maps["THM_21", p, False] = ({0: Fraction(1, p)} if p % 2 else
+                                    {0: -Fraction(1, p), p: 2 * lb(p) / p})
+        maps["THM_29", p, False] = {0: -sign * Fraction(1, p), p: sign * lb(p) / p}
+        tail = Fraction(1, 2 * p * (2 * p - 1))
+        maps["SUM_28", p, False] = {0: tail, 2 * p: lb(2 * p) / p}
+        maps["SUM_28", p, True] = {0: -tail, 2 * p: lb(2 * p) / p}
+        maps["SUM_37", p, False] = {2 * p: lb(2 * p) / (2 * p)}
+    for k in range(0, catalog.PARAM_CAP + 1):
+        maps["SUM_38", k, False] = {2 * k + 1: lb(2 * k + 1) / (2 * k + 1)}
+    return maps
+
+
+def test_closed_forms_match_the_fraction_route_bit_for_bit(bernoulli_ref, euler_ref):
+    maps = _fraction_closed_forms(bernoulli_ref, euler_ref)
+    for (id_, param, printed), coeffs in maps.items():
+        key = CatalogKey(id_, param)
+        got = catalog.printed_closed_form(key) if printed else catalog.closed_form(key)
+        assert got.hex() == _fraction_pi_poly(coeffs).hex(), (key, printed)
+    # every family parameter up to the cap is covered
+    for id_ in FAMILY_IDS:
+        entry = catalog.get(id_)
+        assert {p for i, p, _ in maps if i == id_} == set(range(entry.param_min, catalog.PARAM_CAP + 1))
 
 
 def test_printed_variants():

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import math
 import os
@@ -202,60 +203,106 @@ def test_list_text(capsys):
     assert "SUM_23" in out and "Eq. (23)" in out
 
 
+# --- pinned stdout --------------------------------------------------------------------
+
+ZETA3_STDOUT = {
+    "ZETA3_12": "value=1.202056903159685 terms_used=8 error_bound=1.527e-13",
+    "ZETA3_13": "value=1.202056903159472 terms_used=20 error_bound=2.079e-13",
+    "ZETA3_APERY_14": "value=1.202056903159415 terms_used=16 error_bound=2.206e-13",
+    "ZETA3_CK_15": "value=1.202056903159801 terms_used=17 error_bound=3.546e-13",
+    "ZETA3_EWELL_16": "value=1.20205690315967 terms_used=18 error_bound=1.337e-13",
+    "ZETA3_17": "value=1.20205690315937 terms_used=7 error_bound=3.776e-13",
+    "ZETA3_18": "value=1.202056903159483 terms_used=8 error_bound=2.135e-13",
+    "ZETA3_19": "value=1.202056903159628 terms_used=9 error_bound=7.552e-14",
+    "ZETA3_20": "value=1.202056903159566 terms_used=5 error_bound=6.221e-14",
+}
+
+
+@pytest.mark.parametrize("ident", list(ZETA3_STDOUT))
+def test_compute_zeta3_methods_print_pinned_bytes(capsys, ident):
+    code, out = run(capsys, "compute", "zeta3", "--method", ident, "--tol", "1e-12")
+    assert code == 0
+    assert out == ZETA3_STDOUT[ident] + "\n"
+
+
+def test_list_json_prints_pinned_bytes(capsys):
+    code, out = run(capsys, "list", "--format", "json")
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == "5d327d14b7947b46e666ff6bbc258121e8a99b1dd4df7c998cf34171d01f066b"
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "beta", "512"), ("compute", "beta", "600"), ("compute", "beta", "1e6"),
+    ("compute", "zetaE", "309"), ("compute", "zetaE", "310"), ("compute", "zetaE", "400"),
+])
+def test_compute_far_end_of_the_domain(capsys, argv):
+    # 4^s overflows from s = 512 and pi^(2k+1) from k = 310; beta is 1.0 there
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out == "value=1 terms_used=1 error_bound=3.553e-15\n"
+
+
 # --- what a cold command loads ------------------------------------------------------
+
+_WATCHED = ("dataclasses", "decimal", "fractions")
 
 _PROBE = """
 import contextlib, io, sys
 sys.path.insert(0, {src!r})
-had_dataclasses = "dataclasses" in sys.modules
+had = set(sys.modules)
 {body}
 print(repr((sorted(m for m in sys.modules if m.split(".")[0] == "zetakit"),
-            had_dataclasses, "dataclasses" in sys.modules)))
+            sorted(m for m in {watched!r} if m in sys.modules and m not in had))))
 """
 
 
 def loaded_after(body):
     """The zetakit modules a fresh interpreter holds after running body, and
-    whether dataclasses was loaded before and after."""
+    which of dataclasses, decimal and fractions body loaded."""
     src = os.path.dirname(os.path.dirname(zetakit.__file__))
-    out = subprocess.run([sys.executable, "-c", _PROBE.format(src=src, body=body)],
-                         capture_output=True, text=True, check=True)
+    probe = _PROBE.format(src=src, body=body, watched=_WATCHED)
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     return ast.literal_eval(out.stdout.strip().splitlines()[-1])
 
 
 SPECFUN_ONLY = ("zetakit.catalog", "zetakit.verifier", "zetakit.convergence", "zetakit.quadrature")
 NO_CHECKS = ("zetakit.verifier", "zetakit.convergence", "zetakit.quadrature")
+NO_FRACTIONS = ("fractions", "decimal")
 
 
 @pytest.mark.parametrize("argv, absent", [
-    (["compute", "catalan"], SPECFUN_ONLY),
-    (["compute", "cl2", "--theta", "1.0"], SPECFUN_ONLY),
-    (["compute", "beta", "3"], SPECFUN_ONLY),
-    (["compute", "zetaE", "0"], SPECFUN_ONLY),
-    (["compute", "zeta3"], SPECFUN_ONLY),
-    (["compute", "zeta3", "--method", "apery", "--tol", "1e-12"], NO_CHECKS),
-    (["list", "--format", "json"], NO_CHECKS),
+    (["compute", "catalan"], SPECFUN_ONLY + NO_FRACTIONS),
+    (["compute", "cl2", "--theta", "1.0"], SPECFUN_ONLY + NO_FRACTIONS),
+    (["compute", "beta", "3"], SPECFUN_ONLY + NO_FRACTIONS),
+    (["compute", "zetaE", "0"], SPECFUN_ONLY + NO_FRACTIONS),
+    (["compute", "zeta3"], SPECFUN_ONLY + NO_FRACTIONS),
+    (["compute", "zeta3", "--method", "apery", "--tol", "1e-12"], NO_CHECKS + NO_FRACTIONS),
+    (["list", "--format", "json"], NO_CHECKS + NO_FRACTIONS),
     (["converge", "--target", "zeta3"], ("zetakit.verifier", "zetakit.quadrature")),
     (["verify", "--id", "THM_21", "--m", "5"], ("zetakit.convergence",)),
+    (["compute", "zeta3", "--method", "ewell", "--tol", "1e-12"], NO_CHECKS + NO_FRACTIONS),
+    (["list"], NO_CHECKS + NO_FRACTIONS),
 ])
 def test_command_loads_only_what_it_runs(argv, absent):
     body = ("from zetakit import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert cli.main({argv!r}) == 0")
-    modules, had_dataclasses, has_dataclasses = loaded_after(body)
+    modules, loaded = loaded_after(body)
     assert "zetakit.cli" in modules
-    assert not set(absent) & set(modules), modules
-    assert has_dataclasses == had_dataclasses
+    assert not set(absent) & set(modules + loaded), (modules, loaded)
+    assert "dataclasses" not in loaded
 
 
 def test_import_zetakit_loads_no_submodule():
-    modules, had_dataclasses, has_dataclasses = loaded_after("import zetakit")
+    modules, loaded = loaded_after("import zetakit")
     assert modules == ["zetakit"]
-    assert has_dataclasses == had_dataclasses
+    assert loaded == []
     # a submodule name still resolves after a plain import, and loads only its layers
-    modules, _, _ = loaded_after("import zetakit\nassert zetakit.catalog.registry()")
+    modules, loaded = loaded_after("import zetakit\nassert zetakit.catalog.registry()")
     assert modules == ["zetakit", "zetakit.catalog", "zetakit.exact", "zetakit.specfun",
                        "zetakit.summation"]
+    assert loaded == []
 
 
 def test_lazy_exports_resolve():

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -10,36 +11,15 @@ from zetakit.exact import (
     LaurentCoeff,
     PiPower,
     bernoulli,
+    bernoulli_pair,
     beta_odd_exact,
     binomial,
     euler_number,
     taylor_coeff,
     zeta_e_exact,
     zeta_even_exact,
+    zigzag,
 )
-
-
-# --- independent oracles -----------------------------------------------------
-
-def akiyama_tanigawa(n):
-    """Bernoulli numbers via the Akiyama-Tanigawa triangle (B1 = +1/2 there)."""
-    row = [Fraction(0)] * (n + 1)
-    out = []
-    for m in range(n + 1):
-        row[m] = Fraction(1, m + 1)
-        for j in range(m, 0, -1):
-            row[j - 1] = j * (row[j - 1] - row[j])
-        out.append(row[0])
-    return out
-
-
-def sech_series_euler(n_max):
-    """Euler numbers from the reciprocal power series of cosh."""
-    cosh = [Fraction(1, math.factorial(k)) if k % 2 == 0 else Fraction(0) for k in range(n_max + 1)]
-    inv = [Fraction(1)]
-    for n in range(1, n_max + 1):
-        inv.append(-sum(cosh[j] * inv[n - j] for j in range(1, n + 1)))
-    return [inv[k] * math.factorial(k) for k in range(n_max + 1)]
 
 
 # --- binomial ----------------------------------------------------------------
@@ -68,11 +48,9 @@ def test_bernoulli_frozen_values():
     assert bernoulli(12) == Fraction(-691, 2730)
 
 
-def test_bernoulli_matches_akiyama_tanigawa():
-    oracle = akiyama_tanigawa(40)
+def test_bernoulli_matches_akiyama_tanigawa(bernoulli_ref):
     for n in range(41):
-        expected = Fraction(-1, 2) if n == 1 else oracle[n]  # AT uses B1 = +1/2
-        assert bernoulli(n) == expected
+        assert bernoulli(n) == bernoulli_ref[n]
 
 
 @settings(max_examples=30)
@@ -88,10 +66,9 @@ def test_euler_frozen_values():
     assert euler_number(10) == -50521
 
 
-def test_euler_matches_sech_series():
-    oracle = sech_series_euler(30)
+def test_euler_matches_sech_series(euler_ref):
     for n in range(31):
-        assert euler_number(n) == oracle[n]
+        assert euler_number(n) == euler_ref[n]
 
 
 @settings(max_examples=30)
@@ -118,6 +95,65 @@ def test_memo_tables_survive_concurrent_growth():
         results = list(pool.map(job, range(16)))
     assert len(set(results)) == 1
     assert results[0][0] == bernoulli(80)
+
+
+# --- the zigzag table ----------------------------------------------------------
+
+def test_zigzag_opens_like_a000111():
+    assert [zigzag(k) for k in range(12)] == [1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521, 353792]
+    with pytest.raises(ValueError):
+        zigzag(-1)
+    with pytest.raises(ValueError, match="^bernoulli requires n >= 0$"):
+        bernoulli_pair(-1)
+
+
+def test_tables_match_textbook_references_to_512(bernoulli_ref, euler_ref):
+    assert len(bernoulli_ref) == len(euler_ref) == 513
+    for n in range(513):
+        b = bernoulli_ref[n]
+        assert bernoulli_pair(n) == (b.numerator, b.denominator), n
+        assert bernoulli(n) == b, n
+        assert euler_number(n) == euler_ref[n], n
+
+
+def test_table_grown_from_four_threads_equals_the_serial_table(monkeypatch):
+    import threading
+
+    from zetakit import exact
+
+    def fresh_tables():
+        monkeypatch.setattr(exact, "_zigzag", [1])
+        monkeypatch.setattr(exact, "_row", [1])
+        bernoulli_pair.cache_clear()
+
+    fresh_tables()
+    serial = [zigzag(k) for k in range(301)]
+    serial_pairs = [bernoulli_pair(n) for n in range(301)]
+
+    fresh_tables()
+    tops = (300, 211, 150, 77)  # four threads, each to its own index
+    barrier = threading.Barrier(len(tops), timeout=30)
+    results = {}
+
+    def grow(top):
+        barrier.wait()
+        results[top] = (zigzag(top), bernoulli_pair(top), bernoulli_pair(top - 1))
+
+    threads = [threading.Thread(target=grow, args=(top,)) for top in tops]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert exact._zigzag == serial
+    for top in tops:
+        assert results[top] == (serial[top], serial_pairs[top], serial_pairs[top - 1]), top
+    assert [bernoulli_pair(n) for n in range(301)] == serial_pairs
 
 
 # --- pi-power closed forms ---------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zetakit
-from zetakit.exact import beta_odd_exact, zeta_even_exact
+from zetakit.exact import beta_odd_exact, bernoulli, zeta_e_exact, zeta_even_exact
 from zetakit.quadrature import QuadratureResult
 from zetakit.specfun import (
     CL2_METHODS,
@@ -238,6 +238,19 @@ def test_zeta_e_weighted():
     assert abs(zeta_e_weighted(2).value - (PI ** 5 / 288) * (15.0 / 16.0)) <= 1e-13
     with pytest.raises(ValueError):
         zeta_e_weighted(-1)
+
+
+def test_floats_equal_the_fraction_route_bit_for_bit():
+    # the integer quotients round exactly as float(Fraction) of the exact
+    # closed forms did, in the same operation order
+    from zetakit import specfun
+
+    for n in range(1, 31):
+        assert zeta_even_float(n) == zeta_even_exact(n).numeric(), n
+    for k in range(1, 309):
+        assert zeta_e_weighted(k).value == zeta_e_exact(k).numeric() * (1.0 - 4.0 ** (-k)), k
+    for k in range(1, 12):  # the Euler-Maclaurin coefficients B_2k / (2k)!
+        assert specfun._bern_over_fact(k) == float(bernoulli(2 * k)) / math.factorial(2 * k), k
 
 
 def test_zeta_e_weight_limit_consistency():
