@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import accumulate, count, islice, repeat
 from typing import Callable, Iterator, Optional
 
-from .exact import zigzag
+from .exact import pi_poly, zigzag
 from .specfun import (
     EvalResult,
     ZETA2,
@@ -128,21 +128,6 @@ def _const_beta4() -> float:
 @lru_cache(maxsize=None)
 def _const_gamma() -> float:
     return euler_gamma().value
-
-
-def _pi_poly(coeffs: dict[int, tuple[int, int]]) -> float:
-    """Evaluate sum of (num/den) * pi**power with a fixed (ascending) term order.
-
-    num/den is an integer quotient, so it is the correctly rounded float of
-    the exact coefficient.  Entries whose closed forms must agree exactly as
-    floats share this one evaluation path, so equal coefficient maps give
-    bit-equal results.
-    """
-    acc = 0.0
-    for power in sorted(coeffs):
-        num, den = coeffs[power]
-        acc += num / den * math.pi ** power
-    return acc
 
 
 # --- tail-bound constructions ------------------------------------------------
@@ -328,26 +313,26 @@ def _binom_family(
 
 def _thm21_closed(m: int) -> float:
     if m % 2 == 1:
-        return _pi_poly({0: (1, m)})
-    return _pi_poly({0: (-1, m), m: (zigzag(m - 1), math.factorial(m) << m)})
+        return pi_poly({0: (1, m)})
+    return pi_poly({0: (-1, m), m: (zigzag(m - 1), math.factorial(m) << m)})
 
 
 def _thm29_closed(m: int) -> float:
     sign = 1 if m % 2 == 0 else -1
-    return _pi_poly({0: (-sign, m), m: (sign * zigzag(m - 1), math.factorial(m) << (m + 1))})
+    return pi_poly({0: (-sign, m), m: (sign * zigzag(m - 1), math.factorial(m) << (m + 1))})
 
 
 def _sum28_closed(k: int, corrected: bool) -> float:
     tail = (1 if corrected else -1, 2 * k * (2 * k - 1))
-    return _pi_poly({0: tail, 2 * k: (zigzag(2 * k - 1), math.factorial(2 * k) << 2 * k)})
+    return pi_poly({0: tail, 2 * k: (zigzag(2 * k - 1), math.factorial(2 * k) << 2 * k)})
 
 
 def _sum37_closed(k: int) -> float:
-    return _pi_poly({2 * k: (zigzag(2 * k - 1), math.factorial(2 * k) << (2 * k + 1))})
+    return pi_poly({2 * k: (zigzag(2 * k - 1), math.factorial(2 * k) << (2 * k + 1))})
 
 
 def _sum38_closed(k: int) -> float:
-    return _pi_poly({2 * k + 1: (zigzag(2 * k), math.factorial(2 * k + 1) << (2 * k + 2))})
+    return pi_poly({2 * k + 1: (zigzag(2 * k), math.factorial(2 * k + 1) << (2 * k + 2))})
 
 
 def _apery_term(_param: int | None, n: int) -> float:
@@ -526,31 +511,31 @@ def _build_registry() -> dict[str, IdentityDescriptor]:
         "SUM_23", "Eq. (23)",
         "sum_{n>=1} zeta(2n)/4^n = 1/2",
         p=lambda n: 1.0, ratio=1 / 4,
-        closed_fn=lambda _p: _pi_poly({0: (1, 2)}),
+        closed_fn=lambda _p: pi_poly({0: (1, 2)}),
     ))
     entries.append(_scalar_entry(
         "SUM_24", "Eq. (24)",
         "sum_{n>=1} zeta(2n)(2n-1)(2n-2)/4^n = 1",
         p=lambda n: (2.0 * n - 1) * (2.0 * n - 2), ratio=1 / 4,
-        closed_fn=lambda _p: _pi_poly({0: (1, 1)}),
+        closed_fn=lambda _p: pi_poly({0: (1, 1)}),
     ))
     entries.append(_scalar_entry(
         "SUM_25", "Eq. (25)",
         "sum_{n>=1} zeta(2n)(2n-1)/4^n = pi^2/8 - 1/2",
         p=lambda n: 2.0 * n - 1, ratio=1 / 4,
-        closed_fn=lambda _p: _pi_poly({0: (-1, 2), 2: (1, 8)}),
+        closed_fn=lambda _p: pi_poly({0: (-1, 2), 2: (1, 8)}),
     ))
     entries.append(_scalar_entry(
         "SUM_26", "Eq. (26)",
         "sum_{n>=1} zeta(2n) n/4^n = pi^2/16",
         p=lambda n: float(n), ratio=1 / 4,
-        closed_fn=lambda _p: _pi_poly({2: (1, 16)}),
+        closed_fn=lambda _p: pi_poly({2: (1, 16)}),
     ))
     entries.append(_scalar_entry(
         "SUM_27", "Eq. (27)",
         "sum_{n>=1} zeta(2n) n^2/4^n = 3pi^2/32",
         p=lambda n: float(n) ** 2, ratio=1 / 4,
-        closed_fn=lambda _p: _pi_poly({2: (3, 32)}),
+        closed_fn=lambda _p: pi_poly({2: (3, 32)}),
     ))
 
     entries.append(_binom_family(
@@ -583,7 +568,7 @@ def _build_registry() -> dict[str, IdentityDescriptor]:
         "SUM_31", "Eq. (31)",
         "sum_{n>=1} zeta(2n)/16^n = (4 - pi)/8",
         p=lambda n: 1.0, ratio=1 / 16,
-        closed_fn=lambda _p: _pi_poly({0: (1, 2), 1: (-1, 8)}),
+        closed_fn=lambda _p: pi_poly({0: (1, 2), 1: (-1, 8)}),
     ))
     entries.append(_scalar_entry(
         "SUM_32", "Eq. (32)",
@@ -595,27 +580,27 @@ def _build_registry() -> dict[str, IdentityDescriptor]:
         "SUM_33", "Eq. (33)",
         "sum_{n>=1} zeta(2n)(2n-1)/16^n = pi^2/16 - 1/2",
         p=lambda n: 2.0 * n - 1, ratio=1 / 16,
-        closed_fn=lambda _p: _pi_poly({0: (-1, 2), 2: (1, 16)}),
+        closed_fn=lambda _p: pi_poly({0: (-1, 2), 2: (1, 16)}),
     ))
     entries.append(_scalar_entry(
         "SUM_34", "Eq. (34)",
         "sum_{n>=1} zeta(2n)(2n-1)(2n-2)/16^n = 1 - pi^3/32 (published as 1 - pi^3/96)",
         p=lambda n: (2.0 * n - 1) * (2.0 * n - 2), ratio=1 / 16,
-        closed_fn=lambda _p: _pi_poly({0: (1, 1), 3: (-1, 32)}),
+        closed_fn=lambda _p: pi_poly({0: (1, 1), 3: (-1, 32)}),
         status="corrected",
-        printed_closed_fn=lambda _p: _pi_poly({0: (1, 1), 3: (-1, 96)}),
+        printed_closed_fn=lambda _p: pi_poly({0: (1, 1), 3: (-1, 96)}),
     ))
     entries.append(_scalar_entry(
         "SUM_35", "Eq. (35)",
         "sum_{n>=1} zeta(2n) n/16^n = (pi/16)(pi/2 - 1)",
         p=lambda n: float(n), ratio=1 / 16,
-        closed_fn=lambda _p: _pi_poly({1: (-1, 16), 2: (1, 32)}),
+        closed_fn=lambda _p: pi_poly({1: (-1, 16), 2: (1, 32)}),
     ))
     entries.append(_scalar_entry(
         "SUM_36", "Eq. (36)",
         "sum_{n>=1} zeta(2n) n^2/16^n = (pi/32)(3pi/2 - pi^2/4 - 1)",
         p=lambda n: float(n) ** 2, ratio=1 / 16,
-        closed_fn=lambda _p: _pi_poly({1: (-1, 32), 2: (3, 64), 3: (-1, 128)}),
+        closed_fn=lambda _p: pi_poly({1: (-1, 32), 2: (3, 64), 3: (-1, 128)}),
     ))
 
     entries.append(_binom_family(

@@ -146,7 +146,7 @@ def _cmd_compute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
                 raise ValueError("compute zetaE needs an integer k")
             res = zeta_e_weighted(int(args.value))
     except (ValueError, KeyError) as exc:
-        parser.error(str(exc))  # exits 2
+        parser.error(str(exc.args[0] if exc.args else exc))  # exits 2; str(KeyError) is a repr
     if res is None:
         return 3
     _print_result(res)
@@ -169,7 +169,7 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             except InconclusiveError:
                 reports = [inconclusive_report(key, args.tol)]
     except (KeyError, ValueError) as exc:
-        parser.error(str(exc))
+        parser.error(str(exc.args[0] if exc.args else exc))
     text = reports_to_json(reports) if args.format == "json" else reports_to_text(reports)
     _emit(text, args.out)
     if any(r.inconclusive for r in reports):

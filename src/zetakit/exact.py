@@ -8,7 +8,8 @@ times a small factor: tan and sec at x^k are A_k/k!; cot is
 -A_k/((2^(k+1) - 1) k!), and 1 at k = -1; csc is cot times 2^-k - 1;
 B_2n = (-1)^(n-1) 2n A_(2n-1)/(4^n (4^n - 1)) and E_2n = (-1)^n A_2n.
 zeta(2n), beta(2n+1) and zeta_E(2k) are read off cot and sec, so each of
-their floats is one correctly rounded integer quotient times a power of pi.
+their floats is one correctly rounded integer quotient times a power of pi,
+which pi_poly evaluates; PI_ERR is how far math.pi falls short of pi.
 `fractions.Fraction` appears only at the API boundary: the functions that
 return one import it when called, and `Rational` resolves to it on first use.
 
@@ -30,6 +31,9 @@ if TYPE_CHECKING:
 
 __all__ = [
     "Rational",
+    "PI_ERR",
+    "PI_REL_ERR",
+    "pi_poly",
     "PiPower",
     "LaurentCoeff",
     "binomial",
@@ -53,6 +57,23 @@ def __getattr__(name: str):  # Rational is fractions.Fraction, imported on first
     return Fraction
 
 
+PI_ERR = 1.224646799147355e-16  # pi - math.pi = 1.2246467991473532e-16, rounded up
+PI_REL_ERR = 3.9e-17  # (pi - math.pi)/pi = 3.8982e-17, rounded up
+
+
+def pi_poly(coeffs: dict[int, tuple[int, int]]) -> float:
+    """The sum of num/den * math.pi**power over the map, in ascending power order.
+
+    num/den is the correctly rounded float of the exact coefficient, and one
+    evaluation path makes equal maps give bit-equal floats.
+    """
+    acc = 0.0
+    for power in sorted(coeffs):
+        num, den = coeffs[power]
+        acc += num / den * math.pi ** power
+    return acc
+
+
 class PiPower(namedtuple("PiPower", "coeff power")):
     """Exact constant of the form ``coeff * pi**power``."""
 
@@ -68,7 +89,7 @@ class PiPower(namedtuple("PiPower", "coeff power")):
         return cls(*iterable)
 
     def numeric(self) -> float:
-        return float(self.coeff) * math.pi ** self.power
+        return pi_poly({self.power: self.coeff.as_integer_ratio()})
 
 
 class LaurentCoeff(namedtuple("LaurentCoeff", "value exponent")):

@@ -16,7 +16,7 @@ import sys
 import threading
 from collections import namedtuple
 
-from .exact import bernoulli_pair, zigzag
+from .exact import PI_ERR, PI_REL_ERR, bernoulli_pair, pi_poly, zigzag
 from .summation import CompensatedSum
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "polygamma",
     "zeta_e_weighted",
     "clausen_cl2",
+    "cl2_drift",
     "zeta_even_float",
     "zeta_even_m1_float",
 ]
@@ -45,7 +46,6 @@ _EM_HEAD = 20
 _EM_DEPTH = 10
 
 _ULPS = 16 * sys.float_info.epsilon  # rounding allowance folded into bounds
-_PI_REL_ERR = 3.9e-17  # (pi - math.pi)/math.pi = 3.8982e-17, rounded up
 
 _CVZ_TERMS = 48  # alternating-series acceleration depth for 0 < s < 1
 
@@ -60,9 +60,6 @@ _CVZ_ROUNDING = 1.237e-15 + (1.5 * 33.95 + 2.0) * sys.float_info.epsilon
 
 _DIRECT_CL2_TERMS = 1_000_000
 
-# |2 pi - TWO_PI| = 2.4492935982947064e-16, rounded up far enough to cover
-# the rounding of the reduction error computed from it
-_TWO_PI_ERR = 2.44929359829471e-16
 _CL2_RANGE = 2.03  # max Cl2 - min Cl2 = 2 Cl2(pi/3) = 2.0298832...
 _LOG2 = math.log(2.0)
 _SUBNORMAL_PAD = 16 * math.ulp(0.0)  # a few roundings of subnormal results
@@ -260,9 +257,9 @@ def zeta_e_weighted(k: int) -> EvalResult:
         raise ValueError("zeta_e_weighted requires k >= 0")
     if k == 0 or k > 308:
         return dirichlet_beta(2.0 * k + 1.0)
-    coeff = zigzag(2 * k) / (math.factorial(2 * k) * 4 * (4 ** k - 1))
-    value = coeff * math.pi ** (2 * k + 1) * (1.0 - 4.0 ** (-k))
-    rounding = (2 * k + 1) * _PI_REL_ERR + 4 * sys.float_info.epsilon
+    zeta_e = pi_poly({2 * k + 1: (zigzag(2 * k), math.factorial(2 * k) * 4 * (4 ** k - 1))})
+    value = zeta_e * (1.0 - 4.0 ** (-k))
+    rounding = (2 * k + 1) * PI_REL_ERR + 4 * sys.float_info.epsilon
     return EvalResult(value, 0, max(_ULPS, rounding) * abs(value))
 
 
@@ -278,9 +275,8 @@ _z2_lock = threading.Lock()
 def zeta_even_float(n: int) -> float:
     """zeta(2n) as a float, with zeta(0) = -1/2 at n = 0.  Cached.
 
-    Small n takes the exact A_(2n-1) / (2 (4^n - 1) (2n-1)!), A the zigzag
-    numbers, as one correctly rounded quotient times math.pi**(2n); past
-    n = 30 the value is 1 + zeta_minus_one(2n), which is within an ulp.
+    Small n is the pi_poly of the exact A_(2n-1) / (2 (4^n - 1) (2n-1)!), A the
+    zigzag numbers; past n = 30 it is 1 + zeta_minus_one(2n), within an ulp.
     """
     if n < 0:
         raise ValueError("zeta_even_float requires n >= 0")
@@ -289,7 +285,7 @@ def zeta_even_float(n: int) -> float:
     v = _z2_cache.get(n)
     if v is None:
         if n <= _Z2_EXACT_LIMIT:
-            v = zigzag(2 * n - 1) / (2 * (4 ** n - 1) * math.factorial(2 * n - 1)) * math.pi ** (2 * n)
+            v = pi_poly({2 * n: (zigzag(2 * n - 1), 2 * (4 ** n - 1) * math.factorial(2 * n - 1))})
         else:
             v = 1.0 + zeta_minus_one(2.0 * n).value
         with _z2_lock:
@@ -312,21 +308,21 @@ def zeta_even_m1_float(n: int) -> float:
 # --- Clausen function Cl2 ---------------------------------------------------
 
 
-def _cl2_reduce(theta: float) -> tuple[float, float, float]:
+def _cl2_reduce(theta: float, delta: float = 0.0) -> tuple[float, float, float]:
     """Reduce theta by oddness, then 2 pi periodicity, onto [0, pi].
 
-    Returns (r, sign, spread) with |Cl2(theta) - sign * Cl2(r)| <= spread.
-    fmod and the reflection 2pi - r are exact in floats (the latter by
-    Sterbenz's lemma), but each period the float TWO_PI removes misses 2 pi
-    by _TWO_PI_ERR, so the true reduced angle is within delta of r, and
-    spread bounds |Cl2(x) - Cl2(r)| over |x - r| <= delta.  On [0, pi]
-    delta = spread = 0.
+    Returns (r, sign, spread) with |Cl2(y) - sign * Cl2(r)| <= spread for
+    |y - theta| <= delta.  fmod and the reflection 2pi - r are exact (the
+    latter by Sterbenz's lemma), but each period the float TWO_PI removes
+    misses 2 pi by up to 2 PI_ERR (whose margin covers this spread's
+    roundings), so y's true reduced angle is within d = delta + periods
+    2 PI_ERR of r, and spread bounds |Cl2(x) - Cl2(r)| over |x - r| <= d.
 
     log(2 sin(x/2)) = -Cl2'(x) is concave on (0, 2pi) and symmetric about
-    pi, where it peaks at log 2.  With r <= pi the end r - delta lies
-    farther from pi, so away from 0 the slope's size peaks there or is at
-    most log 2.  An interval reaching 0 takes twice the integral of
-    |log x| + 1 from 0 to r + delta; a wider one, the range of Cl2.
+    pi, where it peaks at log 2.  With r <= pi the end r - d lies farther
+    from pi, so away from 0 the slope's size peaks there or is at most
+    log 2.  An interval reaching 0 takes twice the integral of |log x| + 1
+    from 0 to r + d; a wider one, the range of Cl2.
     """
     sign = 1.0
     if theta < 0.0:
@@ -335,14 +331,26 @@ def _cl2_reduce(theta: float) -> tuple[float, float, float]:
     periods = (theta - r) / TWO_PI
     if r > math.pi:
         r, sign, periods = TWO_PI - r, -sign, periods + 1.0
-    if not periods:
+    d = delta + periods * (2 * PI_ERR)
+    if not d:
         return r, sign, 0.0
-    delta = periods * _TWO_PI_ERR
-    if delta < r:  # then r + delta < 2r <= 2pi as well
-        slope = -math.log(2.0 * math.sin(0.5 * (r - delta)))
-        return r, sign, delta * (slope if slope > _LOG2 else _LOG2)
-    hi = r + delta
+    if d < r:  # then r + d < 2r <= 2pi as well
+        slope = -math.log(2.0 * math.sin(0.5 * (r - d)))
+        return r, sign, d * (slope if slope > _LOG2 else _LOG2)
+    hi = r + d
     return r, sign, 2.0 * hi * (2.0 - math.log(hi)) if hi < 1.0 else _CL2_RANGE
+
+
+def cl2_drift(theta: float, delta: float) -> float:
+    """A bound on |Cl2(y) - Cl2(theta)| over |y - theta| <= delta; 0.0 at delta = 0.
+
+    The reduction's spread at delta, so it also bounds how far Cl2(y) is from
+    the reduced value clausen_cl2(theta) evaluates.  delta has no margin, so
+    the spread is scaled by 1 + 8 eps, past its roundings (about 4.5 eps).
+    """
+    if not (math.isfinite(theta) and delta >= 0.0):
+        raise ValueError("cl2_drift requires finite theta and delta >= 0")
+    return _cl2_reduce(theta, delta)[2] * (1.0 + 8 * sys.float_info.epsilon) if delta else 0.0
 
 
 def _accel_head(r: float) -> tuple[float, float]:
@@ -470,6 +478,8 @@ def clausen_cl2(theta: float, method: str = "auto", *, n_terms: int | None = Non
         raise ValueError("theta must be finite")
     if method not in CL2_METHODS:
         raise ValueError(f"unknown Cl2 method {method!r}")
+    if n_terms is not None and n_terms < 1:
+        raise ValueError("n_terms must be >= 1")
     r, sign, spread = _cl2_reduce(theta)
     if method == "auto":
         method = "accel" if r <= 0.5 * math.pi else "wzl"

@@ -13,7 +13,8 @@ from typing import Callable, Iterable
 from . import catalog
 from .catalog import CatalogKey, InconclusiveError, max_terms
 from .quadrature import QuadratureResult, tanh_sinh
-from .specfun import catalan, clausen_cl2
+from .exact import PI_ERR
+from .specfun import catalan, cl2_drift, clausen_cl2
 from .summation import CompensatedSum
 
 __all__ = [
@@ -217,38 +218,6 @@ def quadrature(integrand_id: str, lower: float, upper: float, *, target: float =
     return QuadratureResult(total.value, err, evals)
 
 
-_PI_ERR = 1.23e-16  # |pi - math.pi| = 1.2246e-16, rounded up
-_CL2_SPREAD = 2.03  # max Cl2 - min Cl2 = 2 Cl2(pi/3) = 2.0298832...
-
-
-def _cl2_drift(x: float, delta: float) -> float:
-    """A bound on |Cl2(y) - Cl2(x)| over |y - x| <= delta.
-
-    Cl2'(t) = -log|2 sin(t/2)|, so the change is at most the integral of
-    |log|2 sin(t/2)|| over [x - delta, x + delta], of width w = 2 delta.
-    Between its singularities at the multiples of 2 pi, log|2 sin(t/2)| is
-    concave with maximum log 2, so on points at least gap away from every
-    multiple its magnitude is at most max(log 2, -log(2 sin(gap/2))).  Where
-    the interval comes within w of a multiple, it lies within |s| <= 2w of
-    it, where the integrand is at most |log|s|| + s^2/20 (2 sin(s/2) is
-    s (1 - s^2/24 + ...)); over an interval of width w < 1/4 that integrates
-    to at most w (1 - log(w/2)) + w^3.  Wider intervals get the whole range
-    of Cl2.
-    """
-    if delta == 0.0:
-        return 0.0
-    w = 2.0 * delta
-    if w >= 0.25:
-        return _CL2_SPREAD
-    k = round(x / (2.0 * math.pi))
-    near = k * (2.0 * math.pi)
-    # distance to 2 pi k, less the shortfall of the float 2 pi and the roundings
-    gap = abs(x - near) - abs(k) * 2.0 * _PI_ERR - math.ulp(near) - math.ulp(x) - delta
-    if gap < w:
-        return w * (1.0 - math.log(0.5 * w)) + w ** 3
-    return w * max(_LOG2, -math.log(2.0 * math.sin(0.5 * min(gap, math.pi))))
-
-
 # integral identity id -> (integrand id, sign, Cl2 term, rhs): sign * int_0^theta
 # integrand = rhs(theta, c Cl2(x)), where the Cl2 term (c, m, s) gives the
 # coefficient c and the argument x = m pi + s theta.
@@ -278,18 +247,18 @@ def integral_rhs(id: str, theta: float) -> tuple[float, float]:
 
     The Cl2 argument m pi + s theta is computed as the float
     m * math.pi + s * theta: s theta is exact (|s| is 1 or 2), math.pi is
-    short of pi by less than _PI_ERR, and the sum rounds once.  Where Cl2 is
-    steep, near its argument 0, that moves the value well past rounding.
-    The allowance is |c| times the Cl2 value's own error bound plus the
-    most Cl2 can change over that distance (_cl2_drift).
+    short of pi by less than exact.PI_ERR, and the sum rounds once.  Where
+    Cl2 is steep, near its argument 0, that moves the value well past
+    rounding.  The allowance is |c| times the Cl2 value's own error bound
+    plus the most Cl2 can change over that distance (specfun.cl2_drift).
     """
     if id not in _INTEGRAL_IDENTITIES:
         raise ValueError(f"unknown integral identity {id!r}")
     _, _, (coeff, pi_multiple, scale), rhs = _INTEGRAL_IDENTITIES[id]
     x = pi_multiple * math.pi + scale * theta
-    delta = pi_multiple * _PI_ERR + 0.5 * math.ulp(x) if pi_multiple else 0.0
+    delta = pi_multiple * PI_ERR + 0.5 * math.ulp(x) if pi_multiple else 0.0
     cl2 = clausen_cl2(x, "auto")
-    return rhs(theta, coeff * cl2.value), abs(coeff) * (cl2.error_bound + _cl2_drift(x, delta))
+    return rhs(theta, coeff * cl2.value), abs(coeff) * (cl2.error_bound + cl2_drift(x, delta))
 
 
 def verify_integral_identity(

@@ -7,13 +7,15 @@ cost of 40 digits.
 """
 
 import math
+import random
 import sys
 
 import pytest
 
 from zetakit import catalog
 from zetakit.catalog import CatalogKey
-from zetakit.specfun import CL2_METHODS, clausen_cl2, dirichlet_beta, riemann_zeta, zeta_e_weighted
+from zetakit.specfun import (CL2_METHODS, cl2_drift, clausen_cl2, dirichlet_beta, riemann_zeta,
+                             zeta_e_weighted)
 
 mp = pytest.importorskip("mpmath")
 
@@ -55,6 +57,34 @@ def test_cl2_bound_at_exact_float_multiples_of_two_pi(theta):
     for method in CL2_METHODS:
         res = clausen_cl2(theta, method)
         assert _within_bound(res, _cl2_ref(theta)), method
+
+
+def _near_two_pi_multiples():
+    # the floats nearest 2 pi k and their neighbours
+    with mp.workdps(40):
+        nearest = [float(2 * k * mp.pi) for k in (1, 7, 1000, 100_000)]
+    return [math.nextafter(x, d) for x in nearest for d in (0.0, x, math.inf)]
+
+
+DRIFT_THETAS = [0.0, 1e-300, math.pi, -math.pi, 6.2455, -0.0011, 1e4, -1e4, 1e6, 1e10,
+                *_near_two_pi_multiples(), *(random.Random(7).uniform(-20.0, 20.0) for _ in range(6))]
+
+
+@pytest.mark.parametrize("theta", DRIFT_THETAS)
+def test_cl2_drift_bounds_the_move_of_cl2(theta):
+    # |Cl2(y) - Cl2(theta)| <= cl2_drift(theta, delta) for y = theta +- f delta,
+    # and the same allowance on top of clausen_cl2's bound covers Cl2(y); at
+    # theta = math.pi, delta = 1e-13 the unrounded delta log 2 falls short
+    res = clausen_cl2(theta)
+    assert cl2_drift(theta, 0.0) == 0.0
+    with mp.workdps(40):
+        at_theta = mp.clsin(2, mp.mpf(theta))
+        for delta in (1e-16, 1e-13, 1e-10, 1e-6, 1e-3, 0.1, 1.0):
+            drift = mp.mpf(cl2_drift(theta, delta))
+            for f in (1, -1, 0.5):
+                at_y = mp.clsin(2, mp.mpf(theta) + f * mp.mpf(delta))
+                assert abs(at_y - at_theta) <= drift, (delta, f)
+                assert abs(at_y - mp.mpf(res.value)) <= mp.mpf(res.error_bound) + drift, (delta, f)
 
 
 @pytest.mark.parametrize(

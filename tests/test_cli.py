@@ -148,6 +148,18 @@ def test_verify_bad_flags():
     assert exc.value.code == 2
 
 
+def test_usage_error_prints_the_message_unquoted(capsys):
+    # str() of a KeyError is the repr of its message
+    for argv, message in ((["verify", "--id", "NOPE"], "unknown identity id 'NOPE'"),
+                          (["compute", "zeta3", "--method", "nope"], "unknown zeta3 method 'nope'")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == f"zetakit: error: {message}"
+
+
 def test_converge_csv(capsys):
     code, out = run(capsys, "converge", "--target", "zeta3", "--tol", "1e-10", "--format", "csv")
     assert code == 0

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetakit.exact import (
+    PI_ERR,
+    PI_REL_ERR,
     LaurentCoeff,
     PiPower,
     bernoulli,
@@ -15,6 +17,7 @@ from zetakit.exact import (
     beta_odd_exact,
     binomial,
     euler_number,
+    pi_poly,
     taylor_coeff,
     zeta_e_exact,
     zeta_even_exact,
@@ -186,6 +189,64 @@ def test_zeta_e_exact_coefficients():
     assert zeta_e_exact(2) == PiPower(Fraction(1, 288), 5)
     with pytest.raises(ValueError):
         zeta_e_exact(0)  # the 1 - 4^k factor vanishes
+
+
+def test_numeric_is_the_rounded_coefficient_times_the_power():
+    # pi_poly's one term is float(coeff) * math.pi**p: an integer quotient is
+    # the correctly rounded Fraction, and 0.0 plus a float is that float
+    for n in range(1, 200):
+        for f in (zeta_even_exact, beta_odd_exact, zeta_e_exact):
+            c = f(n)
+            assert c.numeric() == float(c.coeff) * math.pi ** c.power, (f.__name__, n)
+    assert pi_poly({3: (-1, 32), 0: (1, 1)}) == 1.0 + -1 / 32 * math.pi ** 3  # ascending order
+
+
+# --- pi and its float math.pi ---------------------------------------------------
+
+def _machin_pi(bits):
+    """(lo, hi), integers with lo <= pi 2^bits <= hi, from Machin's formula
+    pi = 16 arctan(1/5) - 4 arctan(1/239)."""
+    def arctan_inv(x):
+        # 2^bits arctan(1/x) and its error bound: each term
+        # floor(2^bits / ((2k+1) x^(2k+1))) is short by less than 1, and the
+        # alternating terms left once that floor is 0 add up to less than 1
+        total, power, k = 0, (1 << bits) // x, 0
+        while power:
+            total += (-1) ** k * (power // (2 * k + 1))
+            power //= x * x
+            k += 1
+        return total, k + 1
+
+    a5, err5 = arctan_inv(5)
+    a239, err239 = arctan_inv(239)
+    mid, err = 16 * a5 - 4 * a239, 16 * err5 + 4 * err239
+    return mid - err, mid + err
+
+
+def test_pi_err_bounds_the_shortfall_of_math_pi():
+    bits = 300
+    lo, hi = _machin_pi(bits)
+    assert hi - lo < 1 << 16  # pi to 284 bits
+    shortfall = Fraction(hi, 1 << bits) - Fraction(math.pi)  # at least pi - math.pi
+    assert 0 < shortfall <= Fraction(PI_ERR)
+    assert shortfall / Fraction(lo, 1 << bits) <= Fraction(PI_REL_ERR)
+    # Cl2's reduction error per period; printed error bounds depend on its bits
+    assert 2 * PI_ERR == 2.44929359829471e-16
+
+
+def test_pow_of_math_pi_is_within_an_ulp_up_to_overflow():
+    # every power pi_poly can reach, against the exact (num/den)^p, in integers
+    num, den = math.pi.as_integer_ratio()
+    exact_num, exact_den = 1, 1
+    for p in range(621):
+        v = math.pi ** p
+        a, b = v.as_integer_ratio()
+        u, w = math.ulp(v).as_integer_ratio()
+        # |a/b - exact_num/exact_den| <= u/w
+        assert abs(a * exact_den - exact_num * b) * w <= u * b * exact_den, p
+        exact_num, exact_den = exact_num * num, exact_den * den
+    with pytest.raises(OverflowError):
+        math.pi ** 621
 
 
 # --- trig Laurent coefficients -------------------------------------------------

@@ -15,6 +15,7 @@ from zetakit.specfun import (
     CL2_METHODS,
     EvalResult,
     catalan,
+    cl2_drift,
     clausen_cl2,
     dirichlet_beta,
     euler_gamma,
@@ -372,6 +373,18 @@ def test_cl2_rejects_bad_input():
     with pytest.raises(ValueError):
         clausen_cl2(1.0, "newton")
     assert "auto" in CL2_METHODS
+    # 0 used to run the default depth, a negative count to fail inside the bound
+    for n in (0, -5):
+        with pytest.raises(ValueError, match="^n_terms must be >= 1$"):
+            clausen_cl2(1.0, "direct", n_terms=n)
+    assert clausen_cl2(1.0, "direct", n_terms=1).terms_used == 1
+
+
+def test_cl2_drift_rejects_bad_input():
+    for theta, delta in ((1.0, -1e-16), (1.0, math.nan), (math.inf, 1e-16), (math.nan, 1e-16)):
+        with pytest.raises(ValueError):
+            cl2_drift(theta, delta)
+    assert cl2_drift(1.0, math.inf) == cl2_drift(1.0, 4.0) > 2.03  # the range of Cl2
 
 
 @settings(max_examples=40, deadline=None)
