@@ -17,8 +17,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "exact": (
-        "LaurentCoeff", "PiPower", "Rational", "bernoulli", "beta_odd_exact", "binomial",
-        "euler_number", "taylor_coeff", "zeta_e_exact", "zeta_even_exact",
+        "LaurentCoeff", "PiPower", "bernoulli", "beta_odd_exact", "binomial", "euler_number",
+        "taylor_coeff", "zeta_e_exact", "zeta_even_exact",
     ),
     "specfun": (
         "CL2_METHODS", "EvalResult", "catalan", "clausen_cl2", "dirichlet_beta", "euler_gamma",

@@ -9,14 +9,13 @@ so callers can assemble `offset + scale * partial_sum`.
 Status semantics: "as-printed" entries verify against their published right
 hand side; "corrected" entries store both the published variant (which fails,
 by a documented margin) and the corrected one consistent with the derivation
-chain; "representation" entries are function expansions consumed by the
-Clausen evaluator rather than checkable scalar identities.
+chain; "representation" entries list the paper's Cl2 expansions only (the
+Clausen evaluator keeps its own table); they are not scalar identities.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, count, islice, repeat
@@ -53,13 +52,12 @@ __all__ = [
     "tail_bound",
     "depth_for",
     "evaluate",
-    "max_terms",
+    "check_tolerance",
+    "MAX_TERMS",
+    "MIN_TOLERANCE",
     "PARAM_CAP",
     "InconclusiveError",
-    "STATUSES",
 ]
-
-STATUSES = ("as-printed", "corrected", "representation")
 
 TermFn = Callable[[Optional[int], int], float]
 ClosedFn = Callable[[Optional[int]], float]
@@ -648,7 +646,8 @@ def list_identities() -> list[IdentitySummary]:
 
 PARAM_CAP = 256  # keeps binomial coefficients comfortably inside float range
 
-_DEFAULT_MAX_TERMS = 1_000_000
+MAX_TERMS = 1_000_000  # hang guard: the deepest check at MIN_TOLERANCE takes 629 terms
+MIN_TOLERANCE = 1e-13  # the least tolerance a depth is chosen for; the CLI's --tol repeats it
 
 # Published tail bounds carry this absolute pad so they also cover the
 # last-place rounding of the compensated partial sums being compared; the
@@ -660,15 +659,10 @@ class InconclusiveError(RuntimeError):
     """Raised when the term cap is hit before the tail bound meets tolerance."""
 
 
-def max_terms() -> int:
-    """Series-length cap; ZETAKIT_MAX_TERMS overrides the default of 10^6."""
-    raw = os.environ.get("ZETAKIT_MAX_TERMS")
-    if raw is None:
-        return _DEFAULT_MAX_TERMS
-    value = int(raw)
-    if value < 1:
-        raise ValueError("ZETAKIT_MAX_TERMS must be >= 1")
-    return value
+def check_tolerance(tolerance: float) -> None:
+    """Raise ValueError unless tolerance is finite and >= MIN_TOLERANCE."""
+    if not (math.isfinite(tolerance) and tolerance >= MIN_TOLERANCE):
+        raise ValueError(f"tolerance must be finite and >= {MIN_TOLERANCE:g}")
 
 
 def _resolve(key: CatalogKey) -> tuple[IdentityDescriptor, int | None]:
@@ -746,15 +740,14 @@ def evaluate(key: CatalogKey, tolerance: float) -> EvalResult:
     One scan from start_index sums the terms and stops at the least N with
     |scale| * tail_bound(key, N) <= tolerance / 2, where scale is the
     assembly factor (1 for a bare series).  A tolerance that is not finite
-    or is below 1e-13 is a ValueError; InconclusiveError is raised when no
-    N within the first max_terms() terms qualifies.
+    or is below MIN_TOLERANCE is a ValueError; InconclusiveError is raised
+    when no N within the first MAX_TERMS terms qualifies.
     """
-    if not (math.isfinite(tolerance) and tolerance >= 1e-13):
-        raise ValueError("tolerance must be finite and >= 1e-13")
+    check_tolerance(tolerance)
     entry, param = _resolve(key)
     offset, scale = assembly(key)
     size = abs(scale)
-    cap = max_terms()
+    cap = MAX_TERMS
     # partial_sums' loop, inlined: this scan is nearly all of verify_all's
     # time.  hi and lo are CompensatedSum's, updated in the same order.
     hi = lo = 0.0

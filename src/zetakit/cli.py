@@ -154,7 +154,7 @@ def _cmd_compute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from .catalog import CatalogKey
+    from .catalog import CatalogKey, get
     from .verifier import (InconclusiveError, inconclusive_report, reports_to_json, reports_to_text,
                            verify, verify_all)
 
@@ -162,6 +162,9 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         if args.all_ids:
             reports = verify_all(args.tol, args.param_limit)
         else:
+            name = get(args.id).param_name  # a family takes its own flag only
+            if name is not None and (args.k if name == "m" else args.m) is not None:
+                raise ValueError(f"{args.id} takes --{name}, not --{'k' if name == 'm' else 'm'}")
             param = args.m if args.m is not None else args.k
             key = CatalogKey(args.id, param)
             try:

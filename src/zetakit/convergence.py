@@ -8,7 +8,7 @@ import time
 from collections import namedtuple
 
 from . import catalog
-from .catalog import CatalogKey, InconclusiveError, max_terms
+from .catalog import CatalogKey, InconclusiveError
 
 __all__ = ["ConvergenceProfile", "profile", "compare", "export", "COMPARE_TARGETS"]
 
@@ -24,7 +24,7 @@ ConvergenceProfile = namedtuple("ConvergenceProfile",
 def _scan_to_tolerance(key: CatalogKey, target: float, tolerance: float) -> tuple[int, float]:
     """Least summation depth N with |assembled(N) - target| <= tolerance."""
     offset, scale = catalog.assembly(key)
-    cap = max_terms()
+    cap = catalog.MAX_TERMS
     for terms, (n, value, _) in enumerate(catalog.partial_sums(key), 1):
         err = abs(offset + scale * value - target)
         if err <= tolerance:
@@ -42,8 +42,7 @@ def profile(key: CatalogKey, tolerance: float) -> ConvergenceProfile:
     second, cache-warm evaluation at the found depth, so Bernoulli/zeta table
     population does not pollute the timing.
     """
-    if tolerance < 1e-13:
-        raise ValueError("tolerance must be >= 1e-13")
+    catalog.check_tolerance(tolerance)
     target = catalog.closed_form(key)  # validates the key
     n, err = _scan_to_tolerance(key, target, tolerance)
     start = catalog.get(key.id).start_index

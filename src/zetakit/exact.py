@@ -11,7 +11,7 @@ zeta(2n), beta(2n+1) and zeta_E(2k) are read off cot and sec, so each of
 their floats is one correctly rounded integer quotient times a power of pi,
 which pi_poly evaluates; PI_ERR is how far math.pi falls short of pi.
 `fractions.Fraction` appears only at the API boundary: the functions that
-return one import it when called, and `Rational` resolves to it on first use.
+return one import it when called.
 
 B_1 = -1/2 (the z/(e^z - 1) generating function); the rival B_1 = +1/2
 convention is deliberately not used anywhere.
@@ -30,7 +30,6 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 __all__ = [
-    "Rational",
     "PI_ERR",
     "PI_REL_ERR",
     "pi_poly",
@@ -47,14 +46,6 @@ __all__ = [
     "taylor_coeff",
     "TRIG_FUNCTIONS",
 ]
-
-
-def __getattr__(name: str):  # Rational is fractions.Fraction, imported on first use (PEP 562)
-    if name != "Rational":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from fractions import Fraction
-
-    return Fraction
 
 
 PI_ERR = 1.224646799147355e-16  # pi - math.pi = 1.2246467991473532e-16, rounded up

@@ -15,6 +15,7 @@ __all__ = ["QuadratureResult", "tanh_sinh"]
 # Node cutoff in the double-exponential variable; at t = 4 the weight has
 # decayed below 1e-35, far past anything a log singularity can claw back.
 _T_MAX = 4.0
+_MAX_LEVEL = 11  # refinement levels after level 0: the step halves down to 2^-11
 
 
 class QuadratureResult(namedtuple("QuadratureResult", "value error_estimate evaluations")):
@@ -51,9 +52,8 @@ def tanh_sinh(
     b: float,
     *,
     target: float = 1e-12,
-    max_level: int = 11,
 ) -> QuadratureResult:
-    """Integrate f over the finite interval [a, b].
+    """Integrate f over the finite interval [a, b], a < b.
 
     Endpoint singularities must be integrable; the transform pushes nodes
     double-exponentially close to the endpoints, and any node at which f is
@@ -61,8 +61,8 @@ def tanh_sinh(
     onto a singular endpoint) is dropped: its weight is already below the
     noise floor.  The error estimate is the last level-to-level difference.
     """
-    if not a < b:
-        raise ValueError("tanh_sinh requires a < b")
+    if not -math.inf < a < b < math.inf:
+        raise ValueError("tanh_sinh requires finite a < b")
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
 
@@ -89,7 +89,7 @@ def tanh_sinh(
     value = h * acc.value
     err = math.inf
 
-    for level in range(1, max_level + 1):
+    for level in range(1, _MAX_LEVEL + 1):
         h *= 0.5
         # new nodes sit at odd multiples of the refined step
         t = h

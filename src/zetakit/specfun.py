@@ -32,6 +32,7 @@ __all__ = [
     "zeta_e_weighted",
     "clausen_cl2",
     "cl2_drift",
+    "DIRECT_CL2_TARGET",
     "zeta_even_float",
     "zeta_even_m1_float",
 ]
@@ -59,6 +60,7 @@ _CVZ_TERMS = 48  # alternating-series acceleration depth for 0 < s < 1
 _CVZ_ROUNDING = 1.237e-15 + (1.5 * 33.95 + 2.0) * sys.float_info.epsilon
 
 _DIRECT_CL2_TERMS = 1_000_000
+DIRECT_CL2_TARGET = 1.0 / _DIRECT_CL2_TERMS  # the bound the direct Cl2's default depth meets
 
 _CL2_RANGE = 2.03  # max Cl2 - min Cl2 = 2 Cl2(pi/3) = 2.0298832...
 _LOG2 = math.log(2.0)
@@ -90,12 +92,17 @@ def _bern_over_fact(k: int) -> float:
     return num / den / math.factorial(2 * k)
 
 
-def _power_sum_tail(s: float, x: float) -> tuple[float, float]:
-    """Euler-Maclaurin value and truncation bound for sum_{m>=0} (x+m)^-s.
+def _power_sum(s: float, a: float, head: int) -> tuple[float, float]:
+    """Value and truncation bound for sum_{n>=0} (n+a)^-s, s > 1, a > 0.
 
-    Requires s > 1, x > 0.  The bound is the magnitude of the first omitted
+    The first `head` terms are summed directly, the rest by Euler-Maclaurin
+    from x = head + a.  The bound is the magnitude of the first omitted
     correction term, which dominates the remainder for real s > 0.
     """
+    terms = CompensatedSum()
+    for n in range(head):
+        terms.add((n + a) ** (-s))
+    x = head + a
     acc = x ** (1.0 - s) / (s - 1.0) + 0.5 * x ** (-s)
     rising = s  # (s)(s+1)...(s+2k-2), built incrementally
     power = x ** (-s - 1.0)
@@ -105,7 +112,7 @@ def _power_sum_tail(s: float, x: float) -> tuple[float, float]:
         rising *= (s + 2 * k - 1) * (s + 2 * k)
         power *= inv_x2
     bound = abs(_bern_over_fact(_EM_DEPTH + 1) * rising * power)
-    return acc, bound
+    return terms.value + acc, bound
 
 
 def zeta_minus_one(s: float) -> EvalResult:
@@ -116,11 +123,7 @@ def zeta_minus_one(s: float) -> EvalResult:
     """
     if not (s > 1.0 and math.isfinite(s)):
         raise ValueError("zeta_minus_one requires finite s > 1")
-    head = CompensatedSum()
-    for k in range(2, _EM_HEAD):
-        head.add(float(k) ** (-s))
-    tail, trunc = _power_sum_tail(s, float(_EM_HEAD))
-    value = head.value + tail
+    value, trunc = _power_sum(s, 2.0, _EM_HEAD - 2)
     return EvalResult(value, _EM_HEAD - 2 + _EM_DEPTH, trunc + _ULPS * abs(value))
 
 
@@ -178,11 +181,7 @@ def hurwitz_zeta(s: float, a: float) -> EvalResult:
         raise ValueError("hurwitz_zeta requires finite s > 1")
     if not (a > 0.0 and math.isfinite(a)):
         raise ValueError("hurwitz_zeta requires finite a > 0")
-    head = CompensatedSum()
-    for n in range(_EM_HEAD):
-        head.add((n + a) ** (-s))
-    tail, trunc = _power_sum_tail(s, _EM_HEAD + a)
-    value = head.value + tail
+    value, trunc = _power_sum(s, a, _EM_HEAD)
     return EvalResult(value, _EM_HEAD + _EM_DEPTH, trunc + _ULPS * abs(value))
 
 
@@ -469,7 +468,7 @@ def clausen_cl2(theta: float, method: str = "auto", *, n_terms: int | None = Non
     quality only), and "auto" (accel below pi/2, wzl above).  `n_terms`
     sets the term count of the direct method only; by default it is the
     least count whose bound, reduction allowance included, is at most
-    1/_DIRECT_CL2_TERMS (1e-6), and never more than _DIRECT_CL2_TERMS.  An
+    DIRECT_CL2_TARGET (1e-6), and never more than _DIRECT_CL2_TERMS.  An
     allowance of 1e-6 or more (|theta| beyond about 1e10) leaves no such
     count; the default is then the least count whose own bound is at most
     the allowance.
@@ -487,8 +486,8 @@ def clausen_cl2(theta: float, method: str = "auto", *, n_terms: int | None = Non
         res = EvalResult(0.0, 0, 0.0)
     elif method == "direct":
         # past an allowance of 1e-6 no depth meets 1e-6; match the allowance
-        target = 1.0 / _DIRECT_CL2_TERMS
-        res = _cl2_direct(r, n_terms or _direct_depth(r, target - spread if spread < target else spread))
+        target = DIRECT_CL2_TARGET - spread if spread < DIRECT_CL2_TARGET else spread
+        res = _cl2_direct(r, n_terms or _direct_depth(r, target))
     else:
         res = _cl2_series(r, method)
     return EvalResult(sign * res.value, res.terms_used, res.error_bound + spread)

@@ -14,9 +14,8 @@ class CompensatedSum:
 
     __slots__ = ("_hi", "_lo")
 
-    def __init__(self, start: float = 0.0) -> None:
-        self._hi = float(start)
-        self._lo = 0.0
+    def __init__(self) -> None:
+        self._hi = self._lo = 0.0
 
     def add(self, x: float) -> None:
         t = self._hi + x

@@ -11,16 +11,15 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from . import catalog
-from .catalog import CatalogKey, InconclusiveError, max_terms
+from .catalog import CatalogKey, InconclusiveError
 from .quadrature import QuadratureResult, tanh_sinh
 from .exact import PI_ERR
-from .specfun import catalan, cl2_drift, clausen_cl2
+from .specfun import DIRECT_CL2_TARGET, catalan, cl2_drift, clausen_cl2
 from .summation import CompensatedSum
 
 __all__ = [
     "VerificationReport",
     "InconclusiveError",
-    "max_terms",
     "verify",
     "verify_all",
     "inconclusive_report",
@@ -97,7 +96,7 @@ def verify(key: CatalogKey, tolerance: float, *, include_printed: bool = True) -
 
 def inconclusive_report(key: CatalogKey, tolerance: float) -> VerificationReport:
     """The failed report, flagged inconclusive, of a check that hit the term cap."""
-    return VerificationReport(key, 0.0, 0.0, 0.0, 0.0, max_terms(), tolerance,
+    return VerificationReport(key, 0.0, 0.0, 0.0, 0.0, catalog.MAX_TERMS, tolerance,
                               "corrected", False, inconclusive=True)
 
 
@@ -203,8 +202,8 @@ def quadrature(integrand_id: str, lower: float, upper: float, *, target: float =
     """
     if integrand_id not in _INTEGRANDS:
         raise ValueError(f"unknown integrand {integrand_id!r}")
-    if not lower < upper:
-        raise ValueError("quadrature requires lower < upper")
+    if not -math.inf < lower < upper < math.inf:
+        raise ValueError("quadrature requires finite lower < upper")
     f, lattice = _INTEGRANDS[integrand_id]
     cuts = [lower, *_interior_singularities(lattice, lower, upper), upper]
     total = CompensatedSum()
@@ -275,6 +274,8 @@ def verify_integral_identity(
     """
     if id not in _INTEGRAL_IDENTITIES:
         raise ValueError(f"unknown integral identity {id!r}")
+    if not thetas:
+        raise ValueError("verify_integral_identity needs at least one theta")
     integrand_id, sign, _, _ = _INTEGRAL_IDENTITIES[id]
     worst = None
     evals = 0
@@ -290,16 +291,11 @@ def verify_integral_identity(
     return _report(CatalogKey(id), lhs, bound, rhs, evals, tolerance, "corrected")
 
 
-def cross_check_clausen(
-    grid_points: int = 64,
-    tolerance: float = 1e-9,
-    *,
-    direct_tolerance: float = 1e-6,
-) -> VerificationReport:
+def cross_check_clausen(grid_points: int = 64, tolerance: float = 1e-9) -> VerificationReport:
     """Pairwise agreement of the accel/peeled/wzl Clausen methods on a grid.
 
-    The direct partial sum rides along at its own tolerance, which its
-    default depth is chosen to meet (a bound of at most 1e-6).
+    The direct partial sum rides along at specfun.DIRECT_CL2_TARGET, the
+    bound its default depth is chosen to meet.
     The report's lhs/rhs are the two accelerated-method values realizing the
     worst pairwise gap.
     """
@@ -321,7 +317,7 @@ def cross_check_clausen(
         worst_direct = max(worst_direct, abs(direct - accel))
     gap, x, y = worst
     rel = gap / abs(y) if y != 0.0 else math.inf
-    passed = gap <= tolerance and worst_direct <= direct_tolerance
+    passed = gap <= tolerance and worst_direct <= DIRECT_CL2_TARGET
     return VerificationReport(CatalogKey("CL2_CROSS_CHECK"), x, y, gap, rel,
                               grid_points, tolerance, "corrected", passed)
 

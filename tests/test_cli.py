@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import zetakit
+from zetakit import catalog
 from zetakit.cli import main
 from zetakit.specfun import riemann_zeta
 
@@ -80,7 +81,7 @@ def test_compute_tolerance_out_of_range():
 
 
 def test_compute_inconclusive_exit_code(capsys, monkeypatch):
-    monkeypatch.setenv("ZETAKIT_MAX_TERMS", "4")
+    monkeypatch.setattr(catalog, "MAX_TERMS", 4)
     code = main(["compute", "zeta3", "--method", "ewell", "--tol", "1e-10"])
     captured = capsys.readouterr()
     assert code == 3
@@ -91,10 +92,10 @@ def test_compute_inconclusive_exit_code(capsys, monkeypatch):
 def test_compute_term_cap_counts_terms(capsys, monkeypatch):
     # Ewell's series starts at n = 0 and needs n = 0..14 at 1e-10: 15 terms
     argv = ["compute", "zeta3", "--method", "ewell", "--tol", "1e-10"]
-    monkeypatch.setenv("ZETAKIT_MAX_TERMS", "14")
+    monkeypatch.setattr(catalog, "MAX_TERMS", 14)
     assert main(argv) == 3
     assert "14-term cap" in capsys.readouterr().err
-    monkeypatch.setenv("ZETAKIT_MAX_TERMS", "15")
+    monkeypatch.setattr(catalog, "MAX_TERMS", 15)
     code, out = run(capsys, *argv)
     assert code == 0 and "terms_used=15 " in out
 
@@ -119,6 +120,36 @@ def test_verify_family_with_k_flag(capsys):
     assert code == 0 and "pass" in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--id", "SUM_28", "--m", "2", "--k", "3"], "SUM_28 takes --k, not --m"),
+    (["--id", "SUM_28", "--m", "2"], "SUM_28 takes --k, not --m"),
+    (["--id", "THM_21", "--k", "5"], "THM_21 takes --m, not --k"),
+    (["--id", "THM_21", "--m", "5", "--k", "5"], "THM_21 takes --m, not --k"),
+    (["--id", "SUM_38", "--m", "0"], "SUM_38 takes --k, not --m"),
+])
+def test_verify_family_rejects_the_other_flag(capsys, argv, message):
+    # the other flag was once dropped, or taken in place of the family's own
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv, "--tol", "1e-10"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"zetakit: error: {message}"
+
+
+@pytest.mark.parametrize("command", [["compute", "zeta3", "--method", "apery"],
+                                     ["verify", "--id", "SUM_23"],
+                                     ["converge", "--target", "zeta3"]])
+def test_tol_lower_bound_is_the_catalog_floor(capsys, command):
+    # the parser keeps its own literal, so that building it imports no layer
+    floor = catalog.MIN_TOLERANCE
+    code, _ = run(capsys, *command, "--tol", repr(floor))
+    assert code == 0
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--tol", repr(math.nextafter(floor, 0.0))])
+    assert exc.value.code == 2
+
+
 def test_verify_json_deterministic(capsys):
     _, out1 = run(capsys, "verify", "--all", "--tol", "1e-9", "--format", "json")
     _, out2 = run(capsys, "verify", "--all", "--tol", "1e-9", "--format", "json")
@@ -130,7 +161,7 @@ def test_verify_json_deterministic(capsys):
 
 
 def test_verify_inconclusive_exit_code(capsys, monkeypatch):
-    monkeypatch.setenv("ZETAKIT_MAX_TERMS", "4")
+    monkeypatch.setattr(catalog, "MAX_TERMS", 4)
     code, out = run(capsys, "verify", "--id", "RZS_ONE", "--tol", "1e-9")
     assert code == 3
     assert "INCONCLUSIVE" in out

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -58,8 +59,22 @@ def test_profile_rejects_non_minimal_scan(monkeypatch):
         profile(CatalogKey("ZETA3_17"), 1e-10)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 1e-14, -1.0])
+def test_profile_and_compare_reject_bad_tolerance_before_scanning(tol, monkeypatch):
+    # evaluate's check and message; NaN once ran all MAX_TERMS terms first
+    def no_scan(*args):
+        raise AssertionError("a scan started")
+
+    monkeypatch.setattr(convergence, "_scan_to_tolerance", no_scan)
+    message = "tolerance must be finite and >= 1e-13"
+    with pytest.raises(ValueError, match=message):
+        profile(CatalogKey("SUM_23"), tol)
+    with pytest.raises(ValueError, match=message):
+        compare("all", tol)
+
+
 def test_profile_inconclusive_under_cap(monkeypatch):
-    monkeypatch.setenv("ZETAKIT_MAX_TERMS", "3")
+    monkeypatch.setattr(catalog, "MAX_TERMS", 3)
     with pytest.raises(InconclusiveError):
         profile(CatalogKey("RZS_ONE"), 1e-9)
 
@@ -69,10 +84,10 @@ def test_profile_term_cap_counts_terms(id_, monkeypatch):
     # the cap is on the number of terms, for start-0 and start-1 series alike
     key = CatalogKey(id_)
     needed = profile(key, 1e-10).terms_needed
-    monkeypatch.setenv("ZETAKIT_MAX_TERMS", str(needed - 1))
+    monkeypatch.setattr(catalog, "MAX_TERMS", needed - 1)
     with pytest.raises(InconclusiveError, match=f"{needed - 1}-term cap"):
         profile(key, 1e-10)
-    monkeypatch.setenv("ZETAKIT_MAX_TERMS", str(needed))
+    monkeypatch.setattr(catalog, "MAX_TERMS", needed)
     assert profile(key, 1e-10).terms_needed == needed
 
 

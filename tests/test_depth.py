@@ -306,7 +306,7 @@ def test_depth_for_term_cap(key, monkeypatch):
         depth, _, _ = Reference(key).evaluate(tol)
         terms = depth - start + 1
         for cap in range(max(1, terms - 2), terms + 2):
-            monkeypatch.setenv("ZETAKIT_MAX_TERMS", str(cap))
+            monkeypatch.setattr(catalog, "MAX_TERMS", cap)
             if cap < terms:
                 with pytest.raises(InconclusiveError):
                     catalog.depth_for(key, tol)
@@ -318,7 +318,7 @@ def test_depth_for_term_cap(key, monkeypatch):
 
 
 def test_depth_for_inconclusive_under_small_cap(monkeypatch):
-    monkeypatch.setenv("ZETAKIT_MAX_TERMS", "4")
+    monkeypatch.setattr(catalog, "MAX_TERMS", 4)
     for key in (CatalogKey("ZETA3_EWELL_16"), CatalogKey("SUM_28", 32)):
         with pytest.raises(InconclusiveError, match="4-term cap"):
             catalog.depth_for(key, 1e-10)

@@ -1,9 +1,12 @@
-"""No zetakit module imports or reads a private name of another zetakit module.
+"""No zetakit module imports or reads a private name of another zetakit
+module, and none reads the process environment.
 
 A private name (one leading underscore) belongs to the module that defines
 it; a module that needs it from elsewhere needs a public name instead.  The
 namedtuple API (_asdict, _replace, _make, _fields) is public despite its
-underscore.
+underscore.  A setting read from the environment is an option that no
+signature shows, so the library reads none: os.environ and os.getenv are
+out, however they are imported.
 """
 
 import ast
@@ -52,11 +55,60 @@ def private_reads(sources):
     return sorted(found)
 
 
-def test_no_module_reads_another_modules_private_names():
+ENVIRONMENT_NAMES = {"environ", "getenv", "environb", "getenvb"}
+
+
+def environment_reads(sources):
+    """(module, line, name) for each read of os.environ, os.getenv and kin.
+
+    Caught: an attribute of a name bound to the os module (import os, import
+    os as o), and a from-import of one of those names out of os.
+    """
+    found = []
+    for module, text in sources.items():
+        nodes = list(ast.walk(ast.parse(text)))
+        os_names = {a.asname or a.name for n in nodes if isinstance(n, ast.Import)
+                    for a in n.names if a.name == "os"}
+        for n in nodes:
+            if isinstance(n, ast.ImportFrom) and n.module == "os":
+                found += [(module, n.lineno, a.name) for a in n.names if a.name in ENVIRONMENT_NAMES]
+            elif (isinstance(n, ast.Attribute) and n.attr in ENVIRONMENT_NAMES
+                  and isinstance(n.value, ast.Name) and n.value.id in os_names):
+                found.append((module, n.lineno, n.attr))
+    return sorted(found)
+
+
+def _package_sources():
     package = pathlib.Path(zetakit.__file__).parent
-    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+    return {path.stem: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+
+
+def test_no_module_reads_another_modules_private_names():
+    sources = _package_sources()
     assert {"catalog", "exact", "specfun", "verifier", "cli"} <= set(sources)
     assert private_reads(sources) == []
+
+
+def test_no_module_reads_the_environment():
+    sources = _package_sources()
+    assert {"catalog", "cli", "convergence", "verifier"} <= set(sources)
+    assert environment_reads(sources) == []
+
+
+def test_the_guard_sees_environment_reads():
+    sources = {
+        "catalog": "import os\n"
+                   "cap = int(os.environ.get('ZETAKIT_MAX_TERMS', '1'))\n"
+                   "level = os.getenv('LEVEL')\n"
+                   "os.path.join('a', 'b')\n",
+        "cli": "import os as _os\n"
+               "from os import environ, sep\n"
+               "_os.environ['X']\n",
+        "verifier": "environ = {}\n"
+                    "environ.get('X')\n",
+    }
+    assert environment_reads(sources) == [("catalog", 2, "environ"), ("catalog", 3, "getenv"),
+                                          ("cli", 2, "environ"), ("cli", 3, "environ")]
 
 
 def test_the_guard_sees_private_imports_and_reads():

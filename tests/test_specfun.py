@@ -1,5 +1,7 @@
+import hashlib
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -167,6 +169,26 @@ def test_hurwitz_defining_sum_head(s, a):
     lhs = h - a ** (-s)
     rhs = hurwitz_zeta(s, a + 1.0).value
     assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(rhs)) + 1e-14 * h
+
+
+def test_power_sums_keep_their_bits():
+    # zeta_minus_one (18 head terms from a = 2) and hurwitz_zeta share one
+    # power-sum routine; the digest was taken when each had its own loop
+    rng = random.Random(1605)
+    grid = [(2.0 * n, None) for n in range(1, 800)]
+    grid += [(rng.uniform(1.0001, 4.0), None) for _ in range(400)]
+    grid += [(rng.uniform(4.0, 400.0), None) for _ in range(400)]
+    grid += [(rng.uniform(1.0001, 60.0), rng.uniform(0.05, 50.0)) for _ in range(1200)]
+    digest = hashlib.sha256()
+    for s, a in grid:
+        r = zeta_minus_one(s) if a is None else hurwitz_zeta(s, a)
+        digest.update(f"{r.value.hex()} {r.terms_used} {r.error_bound.hex()}\n".encode())
+    assert digest.hexdigest() == "11cda12d62b7b97c177097e0881d19ab5b4d12cb6ea269bda7cbcd5d840e1662"
+    for bad in (1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="zeta_minus_one requires finite s > 1"):
+            zeta_minus_one(bad)
+        with pytest.raises(ValueError, match="hurwitz_zeta requires finite s > 1"):
+            hurwitz_zeta(bad, 1.0)
 
 
 # --- dirichlet beta / catalan ----------------------------------------------------

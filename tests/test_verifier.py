@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zetakit
 from zetakit import catalog, convergence, verifier
 from zetakit.catalog import CatalogKey
 from zetakit.quadrature import tanh_sinh
@@ -93,7 +97,7 @@ def test_verify_passes_at_any_tolerance(key, tolerance):
 
 
 def test_verify_inconclusive_under_term_cap(monkeypatch):
-    monkeypatch.setenv("ZETAKIT_MAX_TERMS", "4")
+    monkeypatch.setattr(catalog, "MAX_TERMS", 4)
     with pytest.raises(InconclusiveError):
         verify(CatalogKey("RZS_ONE"), 1e-9)
 
@@ -143,7 +147,7 @@ def test_verify_all_deterministic():
 
 
 def test_verify_all_marks_inconclusive(monkeypatch):
-    monkeypatch.setenv("ZETAKIT_MAX_TERMS", "6")
+    monkeypatch.setattr(catalog, "MAX_TERMS", 6)
     reports = verify_all(1e-9, 2)
     assert any(r.inconclusive for r in reports)
     assert len(reports) > 10  # the suite still runs to the end
@@ -229,6 +233,41 @@ def test_quadrature_errors():
         quadrature("exp_sin", 0.0, 1.0)
     with pytest.raises(ValueError):
         quadrature("log_sin", 1.0, 1.0)
+
+
+_BAD_BOUNDS_PROBE = """
+import math, sys
+sys.path.insert(0, {src!r})
+from zetakit.quadrature import tanh_sinh
+from zetakit.verifier import quadrature, verify_integral_identity
+
+calls = [lambda: quadrature("log_sin", 0.0, math.inf),
+         lambda: quadrature("log_cos", -math.inf, 1.0),
+         lambda: quadrature("log_sin", math.nan, 1.0),
+         lambda: tanh_sinh(math.exp, 0.0, math.inf),
+         lambda: tanh_sinh(math.exp, -math.inf, 0.0),
+         lambda: tanh_sinh(math.exp, math.nan, 1.0),
+         lambda: verify_integral_identity("INT_LOG_SIN", 1e-10, thetas=(math.inf,)),
+         lambda: verify_integral_identity("CL2_INTEGRAL", 1e-10, thetas=())]
+for call in calls:
+    try:
+        call()
+    except ValueError:
+        continue
+    raise SystemExit("no ValueError")
+print("ok")
+"""
+
+
+def test_quadrature_rejects_non_finite_bounds_at_once():
+    # in a child with a deadline: an infinite bound once looped forever in the
+    # interior-singularity scan, and an empty theta grid raised TypeError
+    src = os.path.dirname(os.path.dirname(zetakit.__file__))
+    out = subprocess.run([sys.executable, "-c", _BAD_BOUNDS_PROBE.format(src=src)],
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "ok", out.stderr
+    with pytest.raises(ValueError, match="at least one theta"):
+        verify_integral_identity("INT_LOG_SIN", 1e-10, thetas=())
 
 
 def test_quadrature_across_the_singularity_of_log_one_plus_cos():
