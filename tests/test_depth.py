@@ -375,3 +375,35 @@ def test_verify_all_report_at_the_param_cap_is_pinned():
         ("SUM_28(1)", "printed"), ("SUM_34", "printed")]
     digest = hashlib.sha256(verifier.reports_to_json(reports).encode()).hexdigest()
     assert digest == "9b32e0ad27a05329d052ebed68f87b1781ab57ee05ae0fd73ffc1be3b46b420a"
+
+
+def _bits_battery():
+    """float.hex lines of evaluate at each of PAIR_TOLERANCES for every key up
+    to 64 and every eighth family parameter above, of tail_bound around each
+    family's closure point, and of each family's first 300 partial sums."""
+    keys = _keys_up_to(64) + [CatalogKey(id_, p) for id_ in FAMILY_IDS
+                              for p in range(72, catalog.PARAM_CAP + 1, 8)]
+    lines = []
+    for key in keys:
+        for tol in PAIR_TOLERANCES:
+            value, terms, bound = catalog.evaluate(key, tol)
+            lines.append(f"{key.label()} {tol!r} {value.hex()} {terms} {bound.hex()}")
+    for id_ in FAMILY_IDS:
+        entry = catalog.get(id_)
+        for p in (entry.param_min, 12, 64, catalog.PARAM_CAP):
+            key = CatalogKey(id_, p)
+            closure = Reference(key).closure_point()
+            for N in range(max(entry.start_index, closure - 3), closure + 3):
+                lines.append(f"{key.label()} tail {N} {catalog.tail_bound(key, N).hex()}")
+            for N, value, bound in islice(catalog.partial_sums(key), 300):
+                lines.append(f"{key.label()} sum {N} {value.hex()} {bound.hex()}")
+    return lines
+
+
+def test_evaluate_tail_bound_and_partial_sums_bits_are_pinned():
+    # every term, tail, sum, bound and depth the scans produce, bit for bit
+    # (verify_all's digest above pins every key up to PARAM_CAP at 1e-13)
+    lines = _bits_battery()
+    assert len(lines) == 9848  # 3 736 evaluations, 112 tail bounds, 6 000 partial sums
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "51ea6782c48c355e1fb0a881f5eb00d04db85219af1291e461e7dbf1b7643c5c"
