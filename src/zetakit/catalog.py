@@ -16,9 +16,10 @@ Clausen evaluator keeps its own table); they are not scalar identities.
 from __future__ import annotations
 
 import math
+import threading
 from collections import namedtuple
 from functools import lru_cache
-from itertools import accumulate, count, islice, repeat
+from itertools import accumulate, count, islice
 from typing import Callable, Iterator, Optional
 
 from .exact import pi_poly, zigzag
@@ -33,7 +34,6 @@ from .specfun import (
     zeta_even_m1_float,
     zeta_minus_one,
 )
-from .summation import CompensatedSum
 
 __all__ = [
     "CatalogKey",
@@ -76,16 +76,18 @@ class CatalogKey(namedtuple("CatalogKey", "id param", defaults=(None,))):
 class IdentityDescriptor(namedtuple(
     "IdentityDescriptor",
     "id paper_eq status description start_index param_name param_min param_domain targets"
-    " term_fn closed_fn printed_closed_fn steps_fn offset_fn scale_fn",
+    " term_fn closed_fn printed_closed_fn scan_fn offset_fn scale_fn",
     defaults=(1, None, 1, "", (), None, None, None, None, None, None),
 )):
     """One registry entry.
 
     param_name is None for scalar entries.  term_fn is a TermFn; closed_fn,
     printed_closed_fn, offset_fn and scale_fn are ClosedFns, and the
-    assembled value is offset + scale * series.  steps_fn is a StepsFn:
-    steps_fn(param, N) yields (term_fn(param, n), tail(n)) for n = N, N+1,
-    ..., where tail(n) bounds |sum_{j>n} term_fn(param, j)|.
+    assembled value is offset + scale * series.  scan_fn is the entry's one
+    summation loop: the generator scan_fn(param, N, size, limit, last) adds
+    term_fn(param, n) for n = N, N+1, ... to a compensated sum and yields
+    (n, term, sum, tail(n)) wherever size * (tail(n) + TAIL_FLOOR) <= limit,
+    until n passes last; tail(n) bounds |sum_{j>n} term_fn(param, j)|.
     """
 
     __slots__ = ()
@@ -101,6 +103,15 @@ class IdentityDescriptor(namedtuple(
     def is_family(self) -> bool:
         return self.param_name is not None
 
+    def stream(self, param: int | None, N: int) -> Iterator[tuple[int, float, float, float]]:
+        """scan_fn from N, yielding at every n."""
+        return self.scan_fn(param, N, 1.0, math.inf, math.inf)
+
+    @property
+    def steps_fn(self) -> StepsFn:
+        """steps_fn(param, N) yields (term_fn(param, n), tail(n)) for n = N, N+1, ..."""
+        return lambda param, N: ((t, tail) for _, t, _, tail in self.stream(param, N))
+
 
 IdentitySummary = namedtuple("IdentitySummary", "id paper_eq status params description")
 
@@ -109,23 +120,10 @@ IdentitySummary = namedtuple("IdentitySummary", "id paper_eq status params descr
 
 
 @lru_cache(maxsize=None)
-def _const_catalan() -> float:
-    return catalan().value
-
-
-@lru_cache(maxsize=None)
-def _const_zeta3() -> float:
-    return riemann_zeta(3.0).value
-
-
-@lru_cache(maxsize=None)
-def _const_beta4() -> float:
-    return dirichlet_beta(4.0).value
-
-
-@lru_cache(maxsize=None)
-def _const_gamma() -> float:
-    return euler_gamma().value
+def _const(name: str) -> float:
+    """Catalan's G, zeta(3), beta(4) or Euler's gamma, by name."""
+    return {"G": catalan, "zeta3": lambda: riemann_zeta(3.0), "beta4": lambda: dirichlet_beta(4.0),
+            "gamma": euler_gamma}[name]().value
 
 
 # --- tail-bound constructions ------------------------------------------------
@@ -153,6 +151,27 @@ def _poly_geom_tail(p: Callable[[int], float], ratio: float, major: float) -> Ca
 
 _MIN_NORMAL = math.ldexp(1.0, -1022)  # the least normal float
 
+# The family streams' per-n factors, zeta(2n) and the weighted families' cap
+# factor (1 - 4^-n/4) / (1 - 4^-n), depend on n alone: one pair of tables
+# serves every family and parameter.  Index 0 is unused (streams start at 1).
+_ZETA_EVEN, _WEIGHT = [math.nan], [math.nan]
+_TABLE_LEN = 4096  # every family term is 0.0 by then; past it each factor is computed per call
+_table_lock = threading.Lock()
+
+
+def _per_n(n: int) -> tuple[float, float]:
+    """(zeta_even_float(n), the weight factor at n), growing the tables through n."""
+    with _table_lock:
+        for k in range(len(_ZETA_EVEN), min(n + 1, _TABLE_LEN)):
+            _ZETA_EVEN.append(zeta_even_float(k))
+            _WEIGHT.append(_weight(k))
+    return (_ZETA_EVEN[n], _WEIGHT[n]) if n < _TABLE_LEN else (zeta_even_float(n), _weight(n))
+
+
+def _weight(n: int) -> float:
+    quarter_n = math.ldexp(1.0, -2 * n)
+    return (1.0 - 0.25 * quarter_n) / (1.0 - quarter_n)
+
 
 def _zeta_ratio_term(p: Callable[[int], float], ratio: float, minus_one: bool = False) -> TermFn:
     coeff = zeta_even_m1_float if minus_one else zeta_even_float
@@ -167,35 +186,31 @@ def _f(x: float) -> ClosedFn:
     return lambda _param: x
 
 
-def _series(
-    id: str,
-    paper_eq: str,
-    description: str,
-    term_fn: TermFn,
-    tail: Callable[[int], float],
-    *,
-    status: str = "as-printed",
-    **fields,
-) -> IdentityDescriptor:
+def _series(id: str, paper_eq: str, description: str, term_fn: TermFn,
+            tail: Callable[[int], float], *, status: str = "as-printed", **fields) -> IdentityDescriptor:
     """A scalar entry: each term from term_fn, each tail from the O(1) bound tail(N)."""
 
-    def steps_fn(param: int | None, N: int) -> Iterator[tuple[float, float]]:
-        return ((term_fn(param, n), tail(n)) for n in count(N))
+    def scan_fn(param, N, size, limit, last):
+        hi = lo = 0.0  # a CompensatedSum, inlined
+        for n in count(N):
+            if n > last:
+                return
+            t, tail_n = term_fn(param, n), tail(n)
+            s = hi + t
+            if abs(hi) >= abs(t):
+                lo += (hi - s) + t
+            else:
+                lo += (t - s) + hi
+            hi = s
+            if size * (tail_n + TAIL_FLOOR) <= limit:
+                yield n, t, hi + lo, tail_n
 
     return IdentityDescriptor(id=id, paper_eq=paper_eq, status=status, description=description,
-                              term_fn=term_fn, steps_fn=steps_fn, **fields)
+                              term_fn=term_fn, scan_fn=scan_fn, **fields)
 
 
-def _scalar_entry(
-    id: str,
-    paper_eq: str,
-    description: str,
-    *,
-    p: Callable[[int], float],
-    ratio: float,
-    minus_one: bool = False,
-    **fields,
-) -> IdentityDescriptor:
+def _scalar_entry(id: str, paper_eq: str, description: str, *, p: Callable[[int], float],
+                  ratio: float, minus_one: bool = False, **fields) -> IdentityDescriptor:
     if minus_one:
         tail = _poly_geom_tail(p, ratio / 4.0, 2.0)
     else:
@@ -203,22 +218,10 @@ def _scalar_entry(
     return _series(id, paper_eq, description, _zeta_ratio_term(p, ratio, minus_one), tail, **fields)
 
 
-def _binom_family(
-    id: str,
-    paper_eq: str,
-    description: str,
-    *,
-    param_name: str,
-    param_min: int,
-    param_domain: str,
-    top_offset: int,  # binomial top index is 2n + top_offset
-    choose: Callable[[int], int],  # lower index as function of the param
-    inv_pow: int,  # 4 or 16
-    weighted: bool,  # include the (1 - 4^-n) factor
-    closed_fn: ClosedFn,
-    status: str = "as-printed",
-    printed_closed_fn: ClosedFn | None = None,
-) -> IdentityDescriptor:
+def _binom_family(id: str, paper_eq: str, description: str, *, top_offset: int, choose: Callable[[int], int],
+                  inv_pow: int, weighted: bool, status: str = "as-printed", **fields) -> IdentityDescriptor:
+    """A family sum_n zeta(2n) C(2n + top_offset, choose(param)) / (n inv_pow^n),
+    times (1 - 4^-n) when weighted; inv_pow is 4 or 16."""
     ratio = 1.0 / inv_pow
     q_star = 0.5 if inv_pow == 4 else 0.2
     # term_fn's denominator is n << (shift * n): n inv_pow^n, times 4^n when weighted
@@ -235,73 +238,92 @@ def _binom_family(
         # int / int is correctly rounded (OverflowError past float range)
         return zeta_even_float(n) * (num / den)
 
-    def steps_fn(param: int | None, N: int) -> Iterator[tuple[float, float]]:
-        """(term_fn(param, n), tail(n)) for n = N, N+1, ..., one pass.
+    def scan_fn(param, N, size, limit, last):
+        """The family's one loop: each term is computed, summed, bounded and tested.
 
         math.comb runs once; later binomials follow exactly from C(T+2, m) =
-        C(T, m) (T+2)(T+1) / ((T+2-m)(T+1-m)).  term_fn's quotient num / (n <<
-        shift*n) is correctly rounded, and a power-of-two scale commutes with
-        rounding among normal floats, so ldexp(num / n, -shift*n) equals it
-        whenever it exceeds the least normal (a subnormal can round up to
-        that); otherwise, or when num / n overflows, term_fn's division runs.
+        C(T, m) grow / shrink, grow = (T+2)(T+1), shrink = (T+2-m)(T+1-m).
+        term_fn's quotient num / (n << shift*n) is correctly rounded, and a
+        power-of-two scale commutes with rounding among normal floats, so
+        ldexp(num / n, -shift*n) equals it above the least normal (a
+        subnormal can round up to that); otherwise, or when num / n
+        overflows, term_fn's division runs.
 
         M is the first n > N with a nonzero binomial and cap(n) <= q_star;
-        cap(n) bounds |t(j+1)/t(j)| for j >= n and is nonincreasing.  tail(M-1)
-        = |t(M)|/(1 - cap(M)) and tail(n) = |t(n+1)| + tail(n+1) below: float
-        sums of non-negative terms, so non-increasing, and one tail for all
-        leading zero binomials.  Past M, tail(n) closes at n+1.  A term that
-        underflows to 0.0 closes with tail 0 (the true tail is below 1e-300).
+        cap(n) bounds |t(j+1)/t(j)| for j >= n and is nonincreasing.  The head
+        N..M is computed first, then summed with tail(M-1) = |t(M)|/(1 -
+        cap(M)) and tail(n) = |t(n+1)| + tail(n+1) below (float sums of
+        non-negative terms, so non-increasing).  The leading zero binomials
+        share one tail, so the stop rule passes or fails them alike.  Past M,
+        tail(n) closes at n+1; a term that underflows to 0.0 closes with tail 0
+        (the true tail is below 1e-300).
         """
         m = choose(param)
-        n = max(N, (m - top_offset + 1) // 2)  # first n >= N with 2n + top_offset >= m
+        n = first = max(N, (m - top_offset + 1) // 2)  # first n >= N with 2n + top_offset >= m
         top = 2 * n + top_offset
         c = math.comb(top, m)
-        quarter_n = 4.0 ** -n
-        # the zero term before the first nonzero one carries the zero block's tail
-        head = [0.0] if n > N else []
-        zeros = n - N - 1
+        zetas, weights = _ZETA_EVEN, _WEIGHT
+        # terms through M; a zero first stands for the zero block N..first-1
+        head = [0.0] if first > N else []
+        tails, ntail, replay, j = [], 0, 0, N  # the head's tails; next head index and n to sum
+        hi = lo = 0.0  # a CompensatedSum, inlined
         while True:
-            num = (c << 2 * n) - c if weighted else c  # c (4^n - 1)
-            try:
-                q = math.ldexp(num / n, -shift * n)
-            except OverflowError:
-                q = 0.0
-            if q <= _MIN_NORMAL:
-                q = num / (n << shift * n)
-            t = zeta_even_float(n) * q
-            shrink = (top + 2 - m) * (top + 1 - m)
-            cap = ratio * (top + 2) * (top + 1) / shrink
-            if weighted:
-                cap *= (1.0 - 0.25 * quarter_n) / (1.0 - quarter_n)
-            if head is None:
-                yield prev, abs(t) / (1.0 - cap)
+            if replay < ntail:
+                t, tail = head[replay], tails[replay]
+                replay += 1
             else:
-                head.append(t)
-                if n > N and cap <= q_star:
+                try:
+                    zeta, weight = zetas[n], weights[n]
+                except IndexError:
+                    zeta, weight = _per_n(n)
+                num = (c << 2 * n) - c if weighted else c  # c (4^n - 1)
+                try:
+                    q = math.ldexp(num / n, -shift * n)
+                except OverflowError:
+                    q = 0.0
+                if q <= _MIN_NORMAL:
+                    q = num / (n << shift * n)
+                x = zeta * q
+                grow, shrink = (top + 2) * (top + 1), (top + 2 - m) * (top + 1 - m)
+                # = ratio * (top+2) * (top+1) / shrink bit for bit: ratio is a power
+                # of two and grow < 2^53, so that product is exactly ratio * grow,
+                # and dividing it rounds as grow / shrink (one correctly rounded
+                # int quotient) does, scaled by ratio.  grow reaches 2^53 only past
+                # n = 4.7e7, where every term is 0.0 and cap < ratio * (1 + 2e-5).
+                cap = grow / shrink * ratio
+                if weighted:
+                    cap *= weight
+                c = c * grow // shrink
+                n, top = n + 1, top + 2
+                if not ntail:
+                    head.append(x)
+                    if n <= N + 1 or cap > q_star:
+                        continue
                     tails = list(accumulate(map(abs, reversed(head[1:-1])),
-                                            initial=abs(t) / (1.0 - cap)))
+                                            initial=abs(x) / (1.0 - cap)))
                     tails.reverse()
-                    yield from repeat((0.0, tails[0]), zeros)
-                    yield from zip(head, tails)
-                    head = None
-            prev = t
-            c = c * (top + 2) * (top + 1) // shrink
-            n, top, quarter_n = n + 1, top + 2, quarter_n * 0.25
+                    zeros = first - N
+                    if zeros and size * (tails[0] + TAIL_FLOOR) > limit:
+                        replay, j = 1, first  # no zero passes: step over the block
+                    elif zeros:
+                        head[:1], tails[:1] = [0.0] * zeros, [tails[0]] * zeros
+                    prev, ntail = x, len(tails)
+                    continue
+                t, tail, prev = prev, abs(x) / (1.0 - cap), x
+            if j > last:
+                return
+            s = hi + t
+            if abs(hi) >= abs(t):
+                lo += (hi - s) + t
+            else:
+                lo += (t - s) + hi
+            hi = s
+            if size * (tail + TAIL_FLOOR) <= limit:
+                yield j, t, hi + lo, tail
+            j += 1
 
-    return IdentityDescriptor(
-        id=id,
-        paper_eq=paper_eq,
-        status=status,
-        description=description,
-        start_index=1,
-        param_name=param_name,
-        param_min=param_min,
-        param_domain=param_domain,
-        term_fn=term_fn,
-        closed_fn=closed_fn,
-        printed_closed_fn=printed_closed_fn,
-        steps_fn=steps_fn,
-    )
+    return IdentityDescriptor(id=id, paper_eq=paper_eq, status=status, description=description,
+                              term_fn=term_fn, scan_fn=scan_fn, **fields)
 
 
 # lambda(m)/pi^m for even m (lambda(m) = zeta(m)(1 - 2^-m)) and beta(m)/pi^m
@@ -339,14 +361,8 @@ def _apery_term(_param: int | None, n: int) -> float:
 
 
 def _representation(id: str, paper_eq: str, description: str) -> IdentityDescriptor:
-    return IdentityDescriptor(
-        id=id,
-        paper_eq=paper_eq,
-        status="representation",
-        description=description,
-        param_name=None,
-        param_domain="theta in (-2pi, 2pi)",
-    )
+    return IdentityDescriptor(id=id, paper_eq=paper_eq, status="representation", description=description,
+                              param_domain="theta in (-2pi, 2pi)")
 
 
 def _build_registry() -> dict[str, IdentityDescriptor]:
@@ -361,7 +377,7 @@ def _build_registry() -> dict[str, IdentityDescriptor]:
         "SUM_9", "Eq. (9)",
         "sum_{n>=1} zeta(2n)/(n (2n+1) 16^n) = 2G/pi - 1 + log(pi/2)",
         p=lambda n: 1.0 / (n * (2 * n + 1)), ratio=1 / 16,
-        closed_fn=lambda _p: 2.0 * _const_catalan() / math.pi - 1.0 + math.log(math.pi / 2.0),
+        closed_fn=lambda _p: 2.0 * _const("G") / math.pi - 1.0 + math.log(math.pi / 2.0),
         targets=("catalan-relations",),
     ))
 
@@ -380,8 +396,8 @@ def _build_registry() -> dict[str, IdentityDescriptor]:
         "ZETA3_12", "Eq. (12)",
         "zeta(3) = (4pi^2/35)(1/2 + 2G/pi - sum_{n>=1} zeta(2n)/((n+1)(2n+1) 16^n))",
         p=lambda n: 1.0 / ((n + 1) * (2 * n + 1)), ratio=1 / 16,
-        closed_fn=lambda _p: _const_zeta3(),
-        offset_fn=lambda _p: (4.0 * math.pi ** 2 / 35.0) * (0.5 + 2.0 * _const_catalan() / math.pi),
+        closed_fn=lambda _p: _const("zeta3"),
+        offset_fn=lambda _p: (4.0 * math.pi ** 2 / 35.0) * (0.5 + 2.0 * _const("G") / math.pi),
         scale_fn=_f(-4.0 * math.pi ** 2 / 35.0),
         targets=("zeta3",),
     ))
@@ -389,7 +405,7 @@ def _build_registry() -> dict[str, IdentityDescriptor]:
         "ZETA3_13", "Eq. (13)",
         "zeta(3) = (2pi^2/9)(log 2 + 2 sum_{n>=0} zeta(2n)/((2n+3) 4^n)), zeta(0) = -1/2",
         p=lambda n: 1.0 / (2 * n + 3), ratio=1 / 4, start_index=0,
-        closed_fn=lambda _p: _const_zeta3(),
+        closed_fn=lambda _p: _const("zeta3"),
         offset_fn=lambda _p: (2.0 * math.pi ** 2 / 9.0) * math.log(2.0),
         scale_fn=_f(4.0 * math.pi ** 2 / 9.0),
         targets=("zeta3",),
@@ -400,7 +416,7 @@ def _build_registry() -> dict[str, IdentityDescriptor]:
         _apery_term,
         # alternating with strictly decreasing magnitudes: first omitted term
         lambda N: abs(_apery_term(None, N + 1)),
-        closed_fn=lambda _p: _const_zeta3(),
+        closed_fn=lambda _p: _const("zeta3"),
         scale_fn=_f(2.5),
         targets=("zeta3",),
     ))
@@ -409,7 +425,7 @@ def _build_registry() -> dict[str, IdentityDescriptor]:
         "zeta(3) = -(pi^2/3) sum_{n>=0} (2n+5) zeta(2n)/((2n+1)(2n+2)(2n+3) 4^n), zeta(0) = -1/2",
         p=lambda n: (2 * n + 5.0) / ((2 * n + 1) * (2 * n + 2) * (2 * n + 3)), ratio=1 / 4,
         start_index=0,
-        closed_fn=lambda _p: _const_zeta3(),
+        closed_fn=lambda _p: _const("zeta3"),
         scale_fn=_f(-math.pi ** 2 / 3.0),
         targets=("zeta3",),
     ))
@@ -417,7 +433,7 @@ def _build_registry() -> dict[str, IdentityDescriptor]:
         "ZETA3_EWELL_16", "Eq. (16)",
         "zeta(3) = -(4pi^2/7) sum_{n>=0} zeta(2n)/((2n+1)(2n+2) 4^n), zeta(0) = -1/2",
         p=lambda n: 1.0 / ((2 * n + 1) * (2 * n + 2)), ratio=1 / 4, start_index=0,
-        closed_fn=lambda _p: _const_zeta3(),
+        closed_fn=lambda _p: _const("zeta3"),
         scale_fn=_f(-4.0 * math.pi ** 2 / 7.0),
         targets=("zeta3",),
     ))
@@ -425,7 +441,7 @@ def _build_registry() -> dict[str, IdentityDescriptor]:
         "ZETA3_17", "Eq. (17)",
         "zeta(3) = (4pi^2/35)(3/2 - log(pi/2) + sum_{n>=1} zeta(2n)/(n(n+1)(2n+1) 16^n))",
         p=lambda n: 1.0 / (n * (n + 1) * (2 * n + 1)), ratio=1 / 16,
-        closed_fn=lambda _p: _const_zeta3(),
+        closed_fn=lambda _p: _const("zeta3"),
         offset_fn=lambda _p: (4.0 * math.pi ** 2 / 35.0) * (1.5 - math.log(math.pi / 2.0)),
         scale_fn=_f(4.0 * math.pi ** 2 / 35.0),
         targets=("zeta3",),
@@ -434,9 +450,9 @@ def _build_registry() -> dict[str, IdentityDescriptor]:
         "ZETA3_18", "Eq. (18)",
         "zeta(3) = -(64/3pi) beta(4) + (8pi^2/9)(4/3 - log(pi/2) + 3 sum_{n>=1} zeta(2n)/(n(2n+1)(2n+3) 16^n))",
         p=lambda n: 1.0 / (n * (2 * n + 1) * (2 * n + 3)), ratio=1 / 16,
-        closed_fn=lambda _p: _const_zeta3(),
+        closed_fn=lambda _p: _const("zeta3"),
         offset_fn=lambda _p: (
-            -64.0 / (3.0 * math.pi) * _const_beta4()
+            -64.0 / (3.0 * math.pi) * _const("beta4")
             + (8.0 * math.pi ** 2 / 9.0) * (4.0 / 3.0 - math.log(math.pi / 2.0))
         ),
         scale_fn=_f(8.0 * math.pi ** 2 / 3.0),
@@ -446,10 +462,10 @@ def _build_registry() -> dict[str, IdentityDescriptor]:
         "ZETA3_19", "Eq. (19)",
         "zeta(3) = -(64/3pi) beta(4) + (16pi^2/27)(1/2 + 3G/pi - 3 sum_{n>=1} zeta(2n)/((2n+1)(2n+3) 16^n))",
         p=lambda n: 1.0 / ((2 * n + 1) * (2 * n + 3)), ratio=1 / 16,
-        closed_fn=lambda _p: _const_zeta3(),
+        closed_fn=lambda _p: _const("zeta3"),
         offset_fn=lambda _p: (
-            -64.0 / (3.0 * math.pi) * _const_beta4()
-            + (16.0 * math.pi ** 2 / 27.0) * (0.5 + 3.0 * _const_catalan() / math.pi)
+            -64.0 / (3.0 * math.pi) * _const("beta4")
+            + (16.0 * math.pi ** 2 / 27.0) * (0.5 + 3.0 * _const("G") / math.pi)
         ),
         scale_fn=_f(-16.0 * math.pi ** 2 / 9.0),
         targets=("zeta3",),
@@ -459,7 +475,7 @@ def _build_registry() -> dict[str, IdentityDescriptor]:
         "zeta(3) = (2pi^2/35)(9 + 138 log 2 - 18 log 3 - 50 log 5 - 2 log pi"
         " + 2 sum_{n>=1} (zeta(2n)-1)/(n(2n+1)(n+1) 16^n))",
         p=lambda n: 1.0 / (n * (2 * n + 1) * (n + 1)), ratio=1 / 16, minus_one=True,
-        closed_fn=lambda _p: _const_zeta3(),
+        closed_fn=lambda _p: _const("zeta3"),
         offset_fn=lambda _p: (2.0 * math.pi ** 2 / 35.0) * (
             9.0 + 138.0 * math.log(2.0) - 18.0 * math.log(3.0)
             - 50.0 * math.log(5.0) - 2.0 * math.log(math.pi)
@@ -481,7 +497,7 @@ def _build_registry() -> dict[str, IdentityDescriptor]:
         "sum_{m>=2} (zeta(m) - 1)/m = 1 - gamma",
         lambda _p, n: zeta_minus_one(float(n + 1)).value / (n + 1),
         lambda N: 2.0 ** (-N) / (N + 3),
-        closed_fn=lambda _p: 1.0 - _const_gamma(),
+        closed_fn=lambda _p: 1.0 - _const("gamma"),
     ))
     entries.append(_series(
         "RZS_LOG2", "Sec. 2.2",
@@ -713,7 +729,7 @@ def tail_bound(key: CatalogKey, N: int) -> float:
     entry, param = _resolve(key)
     if N < entry.start_index:
         raise ValueError(f"N must be >= start index {entry.start_index}")
-    return next(entry.steps_fn(param, N))[1] + TAIL_FLOOR
+    return next(entry.stream(param, N))[3] + TAIL_FLOOR
 
 
 def assembly(key: CatalogKey) -> tuple[float, float]:
@@ -728,43 +744,27 @@ def partial_sums(key: CatalogKey) -> Iterator[tuple[int, float, float]]:
     """(N, compensated bare sum of terms start_index..N, tail_bound(key, N))
     for N = start_index, start_index + 1, ...; each term is evaluated once."""
     entry, param = _resolve(key)
-    acc = CompensatedSum()
-    for n, (t, tail) in enumerate(entry.steps_fn(param, entry.start_index), entry.start_index):
-        acc.add(t)
-        yield n, acc.value, tail + TAIL_FLOOR
+    return ((n, value, tail + TAIL_FLOOR) for n, _, value, tail in entry.stream(param, entry.start_index))
 
 
 def evaluate(key: CatalogKey, tolerance: float) -> EvalResult:
     """assembled_sum(key, depth_for(key, tolerance)), each term evaluated once.
 
-    One scan from start_index sums the terms and stops at the least N with
-    |scale| * tail_bound(key, N) <= tolerance / 2, where scale is the
-    assembly factor (1 for a bare series).  A tolerance that is not finite
+    The first yield of the entry's scan from start_index, with size |scale|
+    (the assembly factor, 1 for a bare series) and limit tolerance / 2: the
+    least N with |scale| * tail_bound(key, N) <= tolerance / 2.  A tolerance that is not finite
     or is below MIN_TOLERANCE is a ValueError; InconclusiveError is raised
     when no N within the first MAX_TERMS terms qualifies.
     """
     check_tolerance(tolerance)
     entry, param = _resolve(key)
     offset, scale = assembly(key)
-    size = abs(scale)
-    cap = MAX_TERMS
-    # partial_sums' loop, inlined: this scan is nearly all of verify_all's
-    # time.  hi and lo are CompensatedSum's, updated in the same order.
-    hi = lo = 0.0
-    for terms, (t, tail) in enumerate(entry.steps_fn(param, entry.start_index), 1):
-        if terms > cap:
-            raise InconclusiveError(
-                f"{key.label()}: tail bound still above {tolerance/2:g} at the {cap}-term cap"
-            )
-        s = hi + t
-        if abs(hi) >= abs(t):
-            lo += (hi - s) + t
-        else:
-            lo += (t - s) + hi
-        hi = s
-        bound = size * (tail + TAIL_FLOOR)
-        if bound <= 0.5 * tolerance:
-            return EvalResult(offset + scale * (hi + lo), terms, bound)
+    size, start = abs(scale), entry.start_index
+    hit = next(entry.scan_fn(param, start, size, 0.5 * tolerance, start + MAX_TERMS - 1), None)
+    if hit is None:
+        raise InconclusiveError(f"{key.label()}: tail bound still above {tolerance/2:g} at the {MAX_TERMS}-term cap")
+    n, _, value, tail = hit
+    return EvalResult(offset + scale * value, n - start + 1, size * (tail + TAIL_FLOOR))
 
 
 def depth_for(key: CatalogKey, tolerance: float) -> int:

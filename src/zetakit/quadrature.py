@@ -53,7 +53,7 @@ def tanh_sinh(
     *,
     target: float = 1e-12,
 ) -> QuadratureResult:
-    """Integrate f over the finite interval [a, b], a < b.
+    """Integrate f over the finite interval [a, b], a < b, whose width b - a is finite.
 
     Endpoint singularities must be integrable; the transform pushes nodes
     double-exponentially close to the endpoints, and any node at which f is
@@ -64,6 +64,8 @@ def tanh_sinh(
     if not -math.inf < a < b < math.inf:
         raise ValueError("tanh_sinh requires finite a < b")
     half = 0.5 * (b - a)
+    if half == math.inf:
+        raise ValueError(f"tanh_sinh interval width {b!r} - {a!r} exceeds the float range")
     mid = 0.5 * (a + b)
 
     def eval_at(x: float, w: float, acc: CompensatedSum) -> int:

@@ -181,7 +181,10 @@ def hurwitz_zeta(s: float, a: float) -> EvalResult:
         raise ValueError("hurwitz_zeta requires finite s > 1")
     if not (a > 0.0 and math.isfinite(a)):
         raise ValueError("hurwitz_zeta requires finite a > 0")
-    value, trunc = _power_sum(s, a, _EM_HEAD)
+    try:
+        value, trunc = _power_sum(s, a, _EM_HEAD)
+    except OverflowError:  # a head term (n + a)^-s past the float range
+        raise ValueError(f"hurwitz_zeta({s!r}, {a!r}) exceeds the float range") from None
     return EvalResult(value, _EM_HEAD + _EM_DEPTH, trunc + _ULPS * abs(value))
 
 
@@ -236,10 +239,15 @@ def polygamma(order: int, z: float) -> EvalResult:
         raise ValueError("polygamma requires order >= 1")
     if not z > 0.0:
         raise ValueError("polygamma requires z > 0")
+    try:
+        fact = float(math.factorial(order))
+    except OverflowError:
+        raise ValueError(f"polygamma order {order}: {order}! exceeds the float range") from None
     h = hurwitz_zeta(order + 1.0, z)
     sign = 1.0 if order % 2 == 1 else -1.0
-    fact = float(math.factorial(order))
     value = sign * fact * h.value
+    if math.isinf(value):
+        raise ValueError(f"polygamma({order}, {z!r}) exceeds the float range")
     return EvalResult(value, h.terms_used, fact * h.error_bound + _ULPS * abs(value))
 
 

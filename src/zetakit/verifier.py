@@ -26,6 +26,7 @@ __all__ = [
     "check_binomial_identity",
     "check_reciprocal_identity",
     "quadrature",
+    "MAX_SINGULARITIES",
     "INTEGRAND_IDS",
     "verify_integral_identity",
     "integral_rhs",
@@ -179,9 +180,17 @@ _INTEGRANDS: dict[str, tuple[Callable[[float], float], tuple[float, float]]] = {
 INTEGRAND_IDS = tuple(_INTEGRANDS)
 
 
+# singular points of the integrand one quadrature interval may hold, endpoints
+# included: the package's own callers integrate from 0 to a grid theta below
+# pi, and hold at most two
+MAX_SINGULARITIES = 1024
+
+
 def _interior_singularities(lattice: tuple[float, float], a: float, b: float) -> list[float]:
     offset, period = lattice
     k = math.ceil((a - offset) / period)
+    if math.floor((b - offset) / period) - k >= MAX_SINGULARITIES:
+        raise ValueError(f"[{a!r}, {b!r}] holds more than {MAX_SINGULARITIES} singular points of the integrand")
     points = []
     while True:
         x = offset + k * period
@@ -198,7 +207,9 @@ def quadrature(integrand_id: str, lower: float, upper: float, *, target: float =
 
     The interval is split at interior singular points of the integrand, so
     every piece has at worst endpoint log singularities, which the
-    double-exponential transform absorbs.
+    double-exponential transform absorbs.  An interval holding more than
+    MAX_SINGULARITIES singular points is a ValueError, raised before any is
+    listed.
     """
     if integrand_id not in _INTEGRANDS:
         raise ValueError(f"unknown integrand {integrand_id!r}")

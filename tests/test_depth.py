@@ -13,12 +13,13 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from itertools import count, islice
 
 import pytest
 
 import zetakit
-from zetakit import catalog, verifier
+from zetakit import catalog, specfun, verifier
 from zetakit.catalog import CatalogKey, InconclusiveError
 from zetakit.summation import CompensatedSum
 
@@ -407,3 +408,37 @@ def test_evaluate_tail_bound_and_partial_sums_bits_are_pinned():
     assert len(lines) == 9848  # 3 736 evaluations, 112 tail bounds, 6 000 partial sums
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "51ea6782c48c355e1fb0a881f5eb00d04db85219af1291e461e7dbf1b7643c5c"
+
+
+def test_per_n_tables_grow_alike_under_threads(monkeypatch):
+    # the family scans share the zeta(2n) and weight tables and grow them on
+    # demand: threads that grow them at once must still see every factor at
+    # its own n, and get the results a single thread gets
+    keys = [CatalogKey(id_, p) for id_ in FAMILY_IDS for p in (1, 8, 64)]
+    expected = [catalog.evaluate(key, 1e-13) for key in keys]
+    interval = sys.getswitchinterval()
+    for _ in range(5):  # fresh tables each round
+        monkeypatch.setattr(catalog, "_ZETA_EVEN", [math.nan])
+        monkeypatch.setattr(catalog, "_WEIGHT", [math.nan])
+        results, start = {}, threading.Barrier(8)
+
+        def worker(i):
+            start.wait(timeout=60)  # every thread grows the same n at once
+            results[i] = [catalog.evaluate(key, 1e-13) for key in keys]
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert len(results) == 8 and all(got == expected for got in results.values())
+        assert len(catalog._ZETA_EVEN) == len(catalog._WEIGHT) > 200
+        for n in range(1, len(catalog._ZETA_EVEN)):
+            q = math.ldexp(1.0, -2 * n)
+            assert catalog._ZETA_EVEN[n] == specfun.zeta_even_float(n), n
+            assert catalog._WEIGHT[n] == (1.0 - 0.25 * q) / (1.0 - q), n

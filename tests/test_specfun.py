@@ -253,6 +253,15 @@ def test_polygamma_values():
         polygamma(1, -1.0)
 
 
+@pytest.mark.parametrize("call", [lambda: hurwitz_zeta(1600.0, 0.01), lambda: polygamma(300, 0.01),
+                                  lambda: polygamma(170, 0.1)],
+                         ids=["hurwitz(1600, 0.01)", "polygamma(300, 0.01)", "polygamma(170, 0.1)"])
+def test_values_past_the_float_range_are_value_errors(call):
+    # the head term (n + a)^-s, n!, or the product of the two overflows
+    with pytest.raises(ValueError, match="exceeds the float range"):
+        call()
+
+
 # --- zeta_E weights -----------------------------------------------------------------
 
 def test_zeta_e_weighted():

@@ -270,6 +270,34 @@ def test_quadrature_rejects_non_finite_bounds_at_once():
         verify_integral_identity("INT_LOG_SIN", 1e-10, thetas=())
 
 
+_LONG_INTERVAL_PROBE = """
+import sys, time
+sys.path.insert(0, {src!r})
+from zetakit.verifier import quadrature
+t0 = time.perf_counter()
+try:
+    quadrature("log_sin", 0.0, 1e300)
+except ValueError:
+    print(time.perf_counter() - t0)
+"""
+
+
+def test_quadrature_rejects_a_long_interval_at_once():
+    # in a child with a deadline: the singular points were once listed one by
+    # one, so 1e4 took 0.6 s and 1e300 never returned
+    src = os.path.dirname(os.path.dirname(zetakit.__file__))
+    out = subprocess.run([sys.executable, "-c", _LONG_INTERVAL_PROBE.format(src=src)],
+                         capture_output=True, text=True, timeout=60)
+    assert float(out.stdout) < 1.0, out.stderr
+    with pytest.raises(ValueError, match="singular points"):
+        quadrature("log_sin", -1.0, math.pi * (verifier.MAX_SINGULARITIES + 0.5))
+
+
+def test_tanh_sinh_rejects_an_overflowing_width():
+    with pytest.raises(ValueError, match="width"):
+        tanh_sinh(math.exp, -1.5e308, 1.5e308)
+
+
 def test_quadrature_across_the_singularity_of_log_one_plus_cos():
     # the piece [0, pi] ends on the float pi, where cos is exactly -1
     q = quadrature("log_one_plus_cos", 0.0, 4.0)
