@@ -181,8 +181,8 @@ INTEGRAND_IDS = tuple(_INTEGRANDS)
 
 
 # singular points of the integrand one quadrature interval may hold, endpoints
-# included: the package's own callers integrate from 0 to a grid theta below
-# pi, and hold at most two
+# included; the package's own callers integrate from 0 to a grid theta below
+# pi, which meets at most one
 MAX_SINGULARITIES = 1024
 
 
