@@ -262,6 +262,25 @@ def test_values_past_the_float_range_are_value_errors(call):
         call()
 
 
+def test_polygamma_keeps_its_bits_through_order_170():
+    # every order whose n! is a float, at z where zeta(n + 1, z) is a normal
+    # float; a ValueError (the product overflows) is part of the digest
+    rng = random.Random(171)
+    zs = [0.1, 0.5, 1.0, 3.0, 12.5, 50.0] + [rng.uniform(0.05, 50.0) for _ in range(6)]
+    digest, raised = hashlib.sha256(), 0
+    for order in range(1, 171):
+        for z in zs:
+            try:
+                r = polygamma(order, z)
+            except ValueError:
+                raised += 1
+                digest.update(b"ValueError\n")
+                continue
+            digest.update(f"{r.value.hex()} {r.terms_used} {r.error_bound.hex()}\n".encode())
+    assert raised == 74
+    assert digest.hexdigest() == "79ccc0314b03d71bf1dcd2d50cc3f07a992ddf414b3c900da7a82749a56790a2"
+
+
 # --- zeta_E weights -----------------------------------------------------------------
 
 def test_zeta_e_weighted():
