@@ -16,7 +16,6 @@ Clausen evaluator keeps its own table); they are not scalar identities.
 from __future__ import annotations
 
 import math
-import threading
 from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, count, islice
@@ -26,12 +25,14 @@ from .exact import pi_poly, zigzag
 from .specfun import (
     EvalResult,
     ZETA2,
+    ZETA_EVEN_LEN,
     catalan,
     dirichlet_beta,
     euler_gamma,
     riemann_zeta,
     zeta_even_float,
     zeta_even_m1_float,
+    zeta_even_table,
     zeta_minus_one,
 )
 
@@ -61,7 +62,6 @@ __all__ = [
 
 TermFn = Callable[[Optional[int], int], float]
 ClosedFn = Callable[[Optional[int]], float]
-StepsFn = Callable[[Optional[int], int], Iterator[tuple[float, float]]]
 
 
 class CatalogKey(namedtuple("CatalogKey", "id param", defaults=(None,))):
@@ -107,11 +107,6 @@ class IdentityDescriptor(namedtuple(
         """scan_fn from N, yielding at every n."""
         return self.scan_fn(param, N, 1.0, math.inf, math.inf)
 
-    @property
-    def steps_fn(self) -> StepsFn:
-        """steps_fn(param, N) yields (term_fn(param, n), tail(n)) for n = N, N+1, ..."""
-        return lambda param, N: ((t, tail) for _, t, _, tail in self.stream(param, N))
-
 
 IdentitySummary = namedtuple("IdentitySummary", "id paper_eq status params description")
 
@@ -151,26 +146,12 @@ def _poly_geom_tail(p: Callable[[int], float], ratio: float, major: float) -> Ca
 
 _MIN_NORMAL = math.ldexp(1.0, -1022)  # the least normal float
 
-# The family streams' per-n factors, zeta(2n) and the weighted families' cap
-# factor (1 - 4^-n/4) / (1 - 4^-n), depend on n alone: one pair of tables
-# serves every family and parameter.  Index 0 is unused (streams start at 1).
-_ZETA_EVEN, _WEIGHT = [math.nan], [math.nan]
-_TABLE_LEN = 4096  # every family term is 0.0 by then; past it each factor is computed per call
-_table_lock = threading.Lock()
-
-
-def _per_n(n: int) -> tuple[float, float]:
-    """(zeta_even_float(n), the weight factor at n), growing the tables through n."""
-    with _table_lock:
-        for k in range(len(_ZETA_EVEN), min(n + 1, _TABLE_LEN)):
-            _ZETA_EVEN.append(zeta_even_float(k))
-            _WEIGHT.append(_weight(k))
-    return (_ZETA_EVEN[n], _WEIGHT[n]) if n < _TABLE_LEN else (zeta_even_float(n), _weight(n))
-
-
-def _weight(n: int) -> float:
-    quarter_n = math.ldexp(1.0, -2 * n)
-    return (1.0 - 0.25 * quarter_n) / (1.0 - quarter_n)
+# The weighted families' cap factor (1 - 4^-n/4) / (1 - 4^-n) for n below
+# ZETA_EVEN_LEN; index 0 is unused (streams start at 1).  Past the tuple it
+# is 1.0: for n >= 27, 4^-n <= 2^-54, half an ulp below 1.0, so 1 - 4^-n and
+# 1 - 4^-n/4 both round to 1.0 (2^-54 itself is a tie, which goes to 1.0).
+_WEIGHT = (math.nan, *((1.0 - 0.25 * q) / (1.0 - q)
+                       for q in (math.ldexp(1.0, -2 * n) for n in range(1, ZETA_EVEN_LEN))))
 
 
 def _zeta_ratio_term(p: Callable[[int], float], ratio: float, minus_one: bool = False) -> TermFn:
@@ -262,7 +243,7 @@ def _binom_family(id: str, paper_eq: str, description: str, *, top_offset: int, 
         n = first = max(N, (m - top_offset + 1) // 2)  # first n >= N with 2n + top_offset >= m
         top = 2 * n + top_offset
         c = math.comb(top, m)
-        zetas, weights = _ZETA_EVEN, _WEIGHT
+        zetas, weights, known = zeta_even_table(), _WEIGHT, ZETA_EVEN_LEN
         # terms through M; a zero first stands for the zero block N..first-1
         head = [0.0] if first > N else []
         tails, ntail, replay, j = [], 0, 0, N  # the head's tails; next head index and n to sum
@@ -272,10 +253,10 @@ def _binom_family(id: str, paper_eq: str, description: str, *, top_offset: int, 
                 t, tail = head[replay], tails[replay]
                 replay += 1
             else:
-                try:
+                if n < known:
                     zeta, weight = zetas[n], weights[n]
-                except IndexError:
-                    zeta, weight = _per_n(n)
+                else:  # zeta(2n) and the weight are 1.0 there
+                    zeta = weight = 1.0
                 num = (c << 2 * n) - c if weighted else c  # c (4^n - 1)
                 try:
                     q = math.ldexp(num / n, -shift * n)

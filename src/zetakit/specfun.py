@@ -13,8 +13,8 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-import threading
 from collections import namedtuple
+from functools import lru_cache
 
 from .exact import PI_ERR, PI_REL_ERR, bernoulli_pair, pi_poly, zigzag
 from .summation import CompensatedSum
@@ -35,6 +35,8 @@ __all__ = [
     "DIRECT_CL2_TARGET",
     "zeta_even_float",
     "zeta_even_m1_float",
+    "zeta_even_table",
+    "ZETA_EVEN_LEN",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -233,22 +235,27 @@ def euler_gamma() -> EvalResult:
 def polygamma(order: int, z: float) -> EvalResult:
     """psi_n(z) for integer order >= 1, z > 0, through the Hurwitz zeta.
 
-    psi_n(z) = (-1)^(n+1) n! zeta(n+1, z).
+    psi_n(z) = (-1)^(n+1) n! zeta(n+1, z).  From order 171, whose n! is past the
+    float range, the product takes n! >> e and ldexp restores the factor 2^e.
     """
     if order < 1:
         raise ValueError("polygamma requires order >= 1")
     if not z > 0.0:
         raise ValueError("polygamma requires z > 0")
-    try:
-        fact = float(math.factorial(order))
-    except OverflowError:
-        raise ValueError(f"polygamma order {order}: {order}! exceeds the float range") from None
     h = hurwitz_zeta(order + 1.0, z)
-    sign = 1.0 if order % 2 == 1 else -1.0
-    value = sign * fact * h.value
+    if h.value < sys.float_info.min:  # a subnormal or zero zeta has lost its digits
+        raise ValueError(f"polygamma({order}, {z!r}): zeta({order + 1}, {z!r}) underflows the float range")
+    f = math.factorial(order)
+    e = max(0, f.bit_length() - 1020)  # 0 through order 170
+    fact, sign = float(f >> e), 1.0 if order % 2 == 1 else -1.0
+    try:
+        value = math.ldexp(sign * fact * h.value, e)
+        bound = math.ldexp(fact * h.error_bound, e) + _ULPS * abs(value)
+    except OverflowError:
+        value = math.inf
     if math.isinf(value):
         raise ValueError(f"polygamma({order}, {z!r}) exceeds the float range")
-    return EvalResult(value, h.terms_used, fact * h.error_bound + _ULPS * abs(value))
+    return EvalResult(value, h.terms_used, bound)
 
 
 def zeta_e_weighted(k: int) -> EvalResult:
@@ -270,46 +277,37 @@ def zeta_e_weighted(k: int) -> EvalResult:
     return EvalResult(value, 0, max(_ULPS, rounding) * abs(value))
 
 
-# --- cached float views of zeta at even integers ---------------------------
+# --- float views of zeta at even integers ------------------------------------
 
-_Z2_EXACT_LIMIT = 30  # not a cost limit: reports print the n > 30 route's bits
+# zeta_even_table()'s length.  From n = ZETA_EVEN_LEN on, zeta_even_float(n) is
+# 1.0, the rounding of both zeta(2n) and 1 + zeta_minus_one(2n): zeta(2n) - 1 =
+# 2^-2n + 3^-2n + ... < 2^-2n (1 + 2/(2n-1)), so for n >= 27, 0 < zeta(2n) - 1 <
+# 2^-53, half an ulp of 1.0.  The table keeps n = 25..30 at their pi_poly bits,
+# below 1.0.
+ZETA_EVEN_LEN = 31
 
-_z2_cache: dict[int, float] = {}
-_z2m1_cache: dict[int, float] = {}
-_z2_lock = threading.Lock()
+
+@lru_cache(maxsize=None)
+def zeta_even_table() -> tuple[float, ...]:
+    """zeta(0) = -1/2, zeta(2), ..., zeta(2 ZETA_EVEN_LEN - 2) as floats, built on first use;
+    entry n is the pi_poly of the exact A_(2n-1) / (2 (4^n - 1) (2n-1)!), A the zigzag numbers."""
+    return (-0.5, *(pi_poly({2 * n: (zigzag(2 * n - 1), 2 * (4 ** n - 1) * math.factorial(2 * n - 1))})
+                    for n in range(1, ZETA_EVEN_LEN)))
 
 
 def zeta_even_float(n: int) -> float:
-    """zeta(2n) as a float, with zeta(0) = -1/2 at n = 0.  Cached.
-
-    Small n is the pi_poly of the exact A_(2n-1) / (2 (4^n - 1) (2n-1)!), A the
-    zigzag numbers; past n = 30 it is 1 + zeta_minus_one(2n), within an ulp.
-    """
+    """zeta(2n) as a float, with zeta(0) = -1/2 at n = 0: zeta_even_table()[n], then 1.0."""
     if n < 0:
         raise ValueError("zeta_even_float requires n >= 0")
-    if n == 0:
-        return -0.5
-    v = _z2_cache.get(n)
-    if v is None:
-        if n <= _Z2_EXACT_LIMIT:
-            v = pi_poly({2 * n: (zigzag(2 * n - 1), 2 * (4 ** n - 1) * math.factorial(2 * n - 1))})
-        else:
-            v = 1.0 + zeta_minus_one(2.0 * n).value
-        with _z2_lock:
-            _z2_cache[n] = v
-    return v
+    return zeta_even_table()[n] if n < ZETA_EVEN_LEN else 1.0
 
 
+@lru_cache(maxsize=None)
 def zeta_even_m1_float(n: int) -> float:
-    """zeta(2n) - 1 as a float at full relative precision, n >= 1.  Cached."""
+    """zeta(2n) - 1 as a float at full relative precision, n >= 1."""
     if n < 1:
         raise ValueError("zeta_even_m1_float requires n >= 1")
-    v = _z2m1_cache.get(n)
-    if v is None:
-        v = zeta_minus_one(2.0 * n).value
-        with _z2_lock:
-            _z2m1_cache[n] = v
-    return v
+    return zeta_minus_one(2.0 * n).value
 
 
 # --- Clausen function Cl2 ---------------------------------------------------

@@ -14,8 +14,8 @@ import pytest
 
 from zetakit import catalog
 from zetakit.catalog import CatalogKey
-from zetakit.specfun import (CL2_METHODS, cl2_drift, clausen_cl2, dirichlet_beta, riemann_zeta,
-                             zeta_e_weighted)
+from zetakit.specfun import (CL2_METHODS, cl2_drift, clausen_cl2, dirichlet_beta, polygamma,
+                             riemann_zeta, zeta_e_weighted)
 
 mp = pytest.importorskip("mpmath")
 
@@ -194,3 +194,12 @@ def test_family_closed_forms_at_every_parameter():
                 if entry.id == "SUM_28":
                     printed = truth - mp.mpf(1) / (p * (2 * p - 1))
                     assert abs(mp.mpf(catalog.printed_closed_form(key)) - printed) <= bound, key
+
+
+@pytest.mark.parametrize("order, z", [(171, 50.0), (175, 40.0), (180, 30.0), (171, 3.0)])
+def test_polygamma_bound_past_order_170(order, z):
+    # order! leaves the float range from 171 on, while psi_n(z) stays in it
+    # (polygamma(171, 50) = 7.68e16)
+    res = polygamma(order, z)
+    with mp.workdps(DPS):
+        assert _within_bound(res, mp.polygamma(order, mp.mpf(z)))

@@ -38,6 +38,11 @@ FAMILY_SHAPES = {
 }
 
 
+def _steps(entry, param, N):
+    """(term(n), tail(n)) for n = N, N + 1, ..., read from the entry's stream."""
+    return ((t, tail) for _, t, _, tail in entry.stream(param, N))
+
+
 class Reference:
     """Terms and tails of one key, each term from term_fn (cached per n)."""
 
@@ -70,7 +75,7 @@ class Reference:
         binomial whose cap is at most q* (1/2, or 1/5 for the 16^-n family).
         A term that underflows to 0.0 still closes, with tail 0."""
         if not self.entry.is_family:
-            return [next(self.entry.steps_fn(self.key.param, N))[1]]
+            return [next(_steps(self.entry, self.key.param, N))[1]]
         q_star = 0.2 if FAMILY_SHAPES[self.key.id][2] == 16 else 0.5
         n = N + 1
         while not (self.nonzero(n) and self._cap(n) <= q_star):
@@ -155,8 +160,8 @@ def test_family_suffix_table_matches_stream_from_each_n(id_):
     key = CatalogKey(id_, 12)
     start = entry.start_index
     length = Reference(key).closure_point() - start + 3
-    tails = [tail for _, tail in islice(entry.steps_fn(key.param, start), length)]
-    assert tails == [next(entry.steps_fn(key.param, start + i))[1] for i in range(length)]
+    tails = [tail for _, tail in islice(_steps(entry, key.param, start), length)]
+    assert tails == [next(_steps(entry, key.param, start + i))[1] for i in range(length)]
 
 
 @pytest.mark.parametrize("id_", FAMILY_IDS)
@@ -168,7 +173,7 @@ def test_family_table_matches_term_fn_up_to_cap(id_):
         ref = Reference(CatalogKey(id_, p))
         length = ref.closure_point() - entry.start_index + 3
         expected = [(t, tail) for _, t, tail in islice(ref.steps(), length)]
-        assert list(islice(entry.steps_fn(p, entry.start_index), length)) == expected, p
+        assert list(islice(_steps(entry, p, entry.start_index), length)) == expected, p
 
 
 def _hex(steps):
@@ -189,12 +194,12 @@ sys.path.insert(0, {src!r})
 from itertools import islice
 from zetakit import catalog
 for id_, param, N, length in {requests!r}:
-    print([(t.hex(), tail.hex()) for t, tail in islice(catalog.get(id_).steps_fn(param, N), length)])
+    print([(t.hex(), tail.hex()) for _, t, _, tail in islice(catalog.get(id_).stream(param, N), length)])
 """
 
 
 def _library_streams(requests):
-    """steps_fn(param, N)'s first `length` pairs, as float.hex, for each
+    """The stream's first `length` (term, tail) pairs from N, as float.hex, for each
     (id, param, N, length); read in a subprocess, so that a stream that never
     closes fails the test at the timeout instead of hanging the suite."""
     src = os.path.dirname(os.path.dirname(zetakit.__file__))
@@ -203,7 +208,7 @@ def _library_streams(requests):
     return [ast.literal_eval(line) for line in out.stdout.splitlines()]
 
 
-# where steps_fn's ldexp(num / n, ...) shortcut is not term_fn's quotient and
+# where the stream's ldexp(num / n, ...) shortcut is not term_fn's quotient and
 # it falls back to term_fn's division: num / n overflows (SUM_38(256) from
 # n = 700, where num has 2722+ bits), or the term is subnormal or 0.0.  At
 # THM_21(8), n = 540, ldexp's own rounding into the subnormals is one ulp off.
@@ -260,7 +265,7 @@ def test_family_stream_from_each_n_through_zero_block(key):
     first = next(n for n in count(1) if Reference(key).nonzero(n))
     for N in range(1, first + 3):
         expected = _reference_stream(key, N)
-        assert _hex(islice(catalog.get(key.id).steps_fn(key.param, N), len(expected))) == expected, N
+        assert _hex(islice(_steps(catalog.get(key.id), key.param, N), len(expected))) == expected, N
 
 
 def test_thm29_stops_inside_zero_block():
@@ -410,20 +415,20 @@ def test_evaluate_tail_bound_and_partial_sums_bits_are_pinned():
     assert digest == "51ea6782c48c355e1fb0a881f5eb00d04db85219af1291e461e7dbf1b7643c5c"
 
 
-def test_per_n_tables_grow_alike_under_threads(monkeypatch):
-    # the family scans share the zeta(2n) and weight tables and grow them on
-    # demand: threads that grow them at once must still see every factor at
-    # its own n, and get the results a single thread gets
+def test_zeta_even_table_builds_alike_under_threads():
+    # the family scans read one zeta(2n) table, built on first use: threads
+    # that build it at once must each get the table and the results a single
+    # thread gets
     keys = [CatalogKey(id_, p) for id_ in FAMILY_IDS for p in (1, 8, 64)]
     expected = [catalog.evaluate(key, 1e-13) for key in keys]
+    table = specfun.zeta_even_table()
     interval = sys.getswitchinterval()
-    for _ in range(5):  # fresh tables each round
-        monkeypatch.setattr(catalog, "_ZETA_EVEN", [math.nan])
-        monkeypatch.setattr(catalog, "_WEIGHT", [math.nan])
+    for _ in range(5):  # a fresh table each round
+        specfun.zeta_even_table.cache_clear()
         results, start = {}, threading.Barrier(8)
 
         def worker(i):
-            start.wait(timeout=60)  # every thread grows the same n at once
+            start.wait(timeout=60)  # every thread builds the table at once
             results[i] = [catalog.evaluate(key, 1e-13) for key in keys]
 
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
@@ -437,8 +442,19 @@ def test_per_n_tables_grow_alike_under_threads(monkeypatch):
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert len(results) == 8 and all(got == expected for got in results.values())
-        assert len(catalog._ZETA_EVEN) == len(catalog._WEIGHT) > 200
-        for n in range(1, len(catalog._ZETA_EVEN)):
-            q = math.ldexp(1.0, -2 * n)
-            assert catalog._ZETA_EVEN[n] == specfun.zeta_even_float(n), n
-            assert catalog._WEIGHT[n] == (1.0 - 0.25 * q) / (1.0 - q), n
+        assert specfun.zeta_even_table() == table
+        assert len(table) == specfun.ZETA_EVEN_LEN
+
+
+def _weight(n):
+    # the weighted families' cap factor (1 - 4^-n/4) / (1 - 4^-n)
+    q = math.ldexp(1.0, -2 * n)
+    return (1.0 - 0.25 * q) / (1.0 - q)
+
+
+def test_weight_tuple_is_the_formula_and_one_past_it():
+    assert len(catalog._WEIGHT) == specfun.ZETA_EVEN_LEN
+    assert [_weight(n) for n in range(1, specfun.ZETA_EVEN_LEN)] == list(catalog._WEIGHT[1:])
+    # from n = 27 on 4^-n <= 2^-54, and both 1 - 4^-n and 1 - 4^-n/4 round to 1.0
+    assert _weight(26) > 1.0
+    assert all(_weight(n) == 1.0 for n in range(27, 5001))

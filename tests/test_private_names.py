@@ -6,7 +6,8 @@ it; a module that needs it from elsewhere needs a public name instead.  The
 namedtuple API (_asdict, _replace, _make, _fields) is public despite its
 underscore.  A setting read from the environment is an option that no
 signature shows, so the library reads none: os.environ and os.getenv are
-out, however they are imported.
+out, however they are imported.  Nor does any module use an assert
+statement: python -O strips them, and a runtime check must still run there.
 """
 
 import ast
@@ -78,6 +79,12 @@ def environment_reads(sources):
     return sorted(found)
 
 
+def assert_statements(sources):
+    """(module, line) for each assert statement."""
+    return sorted((module, n.lineno) for module, text in sources.items()
+                  for n in ast.walk(ast.parse(text)) if isinstance(n, ast.Assert))
+
+
 def _package_sources():
     package = pathlib.Path(zetakit.__file__).parent
     return {path.stem: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
@@ -93,6 +100,24 @@ def test_no_module_reads_the_environment():
     sources = _package_sources()
     assert {"catalog", "cli", "convergence", "verifier"} <= set(sources)
     assert environment_reads(sources) == []
+
+
+def test_no_module_uses_assert():
+    sources = _package_sources()
+    assert {"catalog", "exact", "specfun", "verifier"} <= set(sources)
+    assert assert_statements(sources) == []
+
+
+def test_the_guard_sees_assert_statements():
+    sources = {
+        "catalog": "x = 1\n"
+                   "assert x > 0, 'x must be positive'\n",
+        "specfun": "def f(x):\n"
+                   "    if x:\n"
+                   "        assert x\n"
+                   "    return 'assert x'  # assert\n",
+    }
+    assert assert_statements(sources) == [("catalog", 2), ("specfun", 3)]
 
 
 def test_the_guard_sees_environment_reads():

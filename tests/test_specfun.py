@@ -16,6 +16,7 @@ from zetakit.quadrature import QuadratureResult
 from zetakit.specfun import (
     CL2_METHODS,
     EvalResult,
+    ZETA_EVEN_LEN,
     catalan,
     cl2_drift,
     clausen_cl2,
@@ -27,6 +28,7 @@ from zetakit.specfun import (
     zeta_e_weighted,
     zeta_even_float,
     zeta_even_m1_float,
+    zeta_even_table,
     zeta_minus_one,
 )
 
@@ -129,10 +131,18 @@ def test_zeta_minus_one_full_precision():
 def test_zeta_even_float_views():
     assert zeta_even_float(0) == -0.5
     assert abs(zeta_even_float(1) - PI ** 2 / 6) < 1e-15
-    # past the exact-rational window the 1 + (zeta-1) route takes over
+    # past the table the constant 1.0 is the float 1 + (zeta - 1)
     assert zeta_even_float(40) == 1.0 + zeta_even_m1_float(40)
     # the subtraction on the oracle side costs ~1 ulp of zeta(4) itself
     assert abs(zeta_even_m1_float(2) - (PI ** 4 / 90 - 1.0)) < 1e-15
+
+
+def test_zeta_even_float_is_one_past_the_table():
+    # for n >= 27, 0 < zeta(2n) - 1 < 2^-53, half an ulp of 1.0: the constant
+    # past the table is the float 1 + zeta_minus_one(2n), bit for bit
+    assert len(zeta_even_table()) == ZETA_EVEN_LEN
+    for n in (*range(ZETA_EVEN_LEN, 5001), 10 ** 6):
+        assert zeta_even_float(n) == 1.0 == 1.0 + zeta_minus_one(2.0 * n).value, n
 
 
 # --- hurwitz zeta ---------------------------------------------------------------
@@ -260,6 +270,14 @@ def test_values_past_the_float_range_are_value_errors(call):
     # the head term (n + a)^-s, n!, or the product of the two overflows
     with pytest.raises(ValueError, match="exceeds the float range"):
         call()
+
+
+@pytest.mark.parametrize("order, z", [(150, 1000.0), (60, 1e6), (40, 1e9), (200, 1000.0)])
+def test_polygamma_raises_where_the_hurwitz_zeta_underflows(order, z):
+    # psi is a normal float at each (-4.10e-190 at (150, 1000)), but
+    # zeta(order + 1, z) is below the least normal float: no digits are left
+    with pytest.raises(ValueError, match="underflows the float range"):
+        polygamma(order, z)
 
 
 def test_polygamma_keeps_its_bits_through_order_170():
