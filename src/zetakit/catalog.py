@@ -150,8 +150,7 @@ _MIN_NORMAL = math.ldexp(1.0, -1022)  # the least normal float
 # ZETA_EVEN_LEN; index 0 is unused (streams start at 1).  Past the tuple it
 # is 1.0: for n >= 27, 4^-n <= 2^-54, half an ulp below 1.0, so 1 - 4^-n and
 # 1 - 4^-n/4 both round to 1.0 (2^-54 itself is a tie, which goes to 1.0).
-_WEIGHT = (math.nan, *((1.0 - 0.25 * q) / (1.0 - q)
-                       for q in (math.ldexp(1.0, -2 * n) for n in range(1, ZETA_EVEN_LEN))))
+_WEIGHT = (math.nan, *((1.0 - 0.25 ** (n + 1)) / (1.0 - 0.25 ** n) for n in range(1, ZETA_EVEN_LEN)))
 
 
 def _zeta_ratio_term(p: Callable[[int], float], ratio: float, minus_one: bool = False) -> TermFn:
