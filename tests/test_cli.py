@@ -275,6 +275,23 @@ def test_list_json_prints_pinned_bytes(capsys):
     assert digest == "5d327d14b7947b46e666ff6bbc258121e8a99b1dd4df7c998cf34171d01f066b"
 
 
+def test_list_text_prints_pinned_bytes(capsys):
+    code, out = run(capsys, "list")
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == "661764806bdb840c80ddd87a652e3f51f912226603d025fac739539fc1a98836"
+
+
+def test_converge_all_csv_prints_pinned_bytes(capsys):
+    code, out = run(capsys, "converge", "--target", "all", "--format", "csv")
+    assert code == 0
+    # columns 1-5: every column but the machine-dependent wall_time_ns
+    table = "".join(",".join(line.split(",")[:5]) + "\n" for line in out.splitlines())
+    assert table.startswith("id,paper_eq,tolerance,terms_needed,achieved_error\n")
+    digest = hashlib.sha256(table.encode("utf-8")).hexdigest()
+    assert digest == "23c3c6532789fa9c480606fb5b7e2087d52f6fbe190242f828827de20c2f28fb"
+
+
 @pytest.mark.parametrize("argv", [
     ("compute", "beta", "512"), ("compute", "beta", "600"), ("compute", "beta", "1e6"),
     ("compute", "zetaE", "309"), ("compute", "zetaE", "310"), ("compute", "zetaE", "400"),
