@@ -35,6 +35,7 @@ from .specfun import (
     zeta_even_table,
     zeta_minus_one,
 )
+from .summation import CompensatedSum
 
 __all__ = [
     "CatalogKey",
@@ -153,17 +154,13 @@ _MIN_NORMAL = math.ldexp(1.0, -1022)  # the least normal float
 _WEIGHT = (math.nan, *((1.0 - 0.25 ** (n + 1)) / (1.0 - 0.25 ** n) for n in range(1, ZETA_EVEN_LEN)))
 
 
-def _zeta_ratio_term(p: Callable[[int], float], ratio: float, minus_one: bool = False) -> TermFn:
-    coeff = zeta_even_m1_float if minus_one else zeta_even_float
-
-    def term_fn(_param: int | None, n: int) -> float:
-        return coeff(n) * p(n) * ratio ** n
-
-    return term_fn
-
-
 def _f(x: float) -> ClosedFn:
     return lambda _param: x
+
+
+def _zeta3(scale: float, offset: ClosedFn | None = None) -> dict:
+    """The fields of a zeta(3) representation, zeta(3) = offset + scale * series."""
+    return dict(closed_fn=lambda _p: _const("zeta3"), offset_fn=offset, scale_fn=_f(scale), targets=("zeta3",))
 
 
 def _series(id: str, paper_eq: str, description: str, term_fn: TermFn,
@@ -171,19 +168,14 @@ def _series(id: str, paper_eq: str, description: str, term_fn: TermFn,
     """A scalar entry: each term from term_fn, each tail from the O(1) bound tail(N)."""
 
     def scan_fn(param, N, size, limit, last):
-        hi = lo = 0.0  # a CompensatedSum, inlined
+        total = CompensatedSum()
         for n in count(N):
             if n > last:
                 return
             t, tail_n = term_fn(param, n), tail(n)
-            s = hi + t
-            if abs(hi) >= abs(t):
-                lo += (hi - s) + t
-            else:
-                lo += (t - s) + hi
-            hi = s
+            total.add(t)
             if size * (tail_n + TAIL_FLOOR) <= limit:
-                yield n, t, hi + lo, tail_n
+                yield n, t, total.value, tail_n
 
     return IdentityDescriptor(id=id, paper_eq=paper_eq, status=status, description=description,
                               term_fn=term_fn, scan_fn=scan_fn, **fields)
@@ -191,11 +183,16 @@ def _series(id: str, paper_eq: str, description: str, term_fn: TermFn,
 
 def _scalar_entry(id: str, paper_eq: str, description: str, *, p: Callable[[int], float],
                   ratio: float, minus_one: bool = False, **fields) -> IdentityDescriptor:
+    """A scalar entry sum_n coeff(n) p(n) ratio^n, coeff(n) = zeta(2n), or zeta(2n) - 1 when minus_one."""
     if minus_one:
-        tail = _poly_geom_tail(p, ratio / 4.0, 2.0)
+        coeff, tail = zeta_even_m1_float, _poly_geom_tail(p, ratio / 4.0, 2.0)
     else:
-        tail = _poly_geom_tail(p, ratio, ZETA2)
-    return _series(id, paper_eq, description, _zeta_ratio_term(p, ratio, minus_one), tail, **fields)
+        coeff, tail = zeta_even_float, _poly_geom_tail(p, ratio, ZETA2)
+
+    def term_fn(_param: int | None, n: int) -> float:
+        return coeff(n) * p(n) * ratio ** n
+
+    return _series(id, paper_eq, description, term_fn, tail, **fields)
 
 
 def _binom_family(id: str, paper_eq: str, description: str, *, top_offset: int, choose: Callable[[int], int],
@@ -246,7 +243,7 @@ def _binom_family(id: str, paper_eq: str, description: str, *, top_offset: int, 
         # terms through M; a zero first stands for the zero block N..first-1
         head = [0.0] if first > N else []
         tails, ntail, replay, j = [], 0, 0, N  # the head's tails; next head index and n to sum
-        hi = lo = 0.0  # a CompensatedSum, inlined
+        hi = lo = 0.0  # a CompensatedSum, inlined: this loop is nearly all of a deep verify_all
         while True:
             if replay < ntail:
                 t, tail = head[replay], tails[replay]
@@ -376,19 +373,14 @@ def _build_registry() -> dict[str, IdentityDescriptor]:
         "ZETA3_12", "Eq. (12)",
         "zeta(3) = (4pi^2/35)(1/2 + 2G/pi - sum_{n>=1} zeta(2n)/((n+1)(2n+1) 16^n))",
         p=lambda n: 1.0 / ((n + 1) * (2 * n + 1)), ratio=1 / 16,
-        closed_fn=lambda _p: _const("zeta3"),
-        offset_fn=lambda _p: (4.0 * math.pi ** 2 / 35.0) * (0.5 + 2.0 * _const("G") / math.pi),
-        scale_fn=_f(-4.0 * math.pi ** 2 / 35.0),
-        targets=("zeta3",),
+        **_zeta3(-4.0 * math.pi ** 2 / 35.0,
+                 lambda _p: (4.0 * math.pi ** 2 / 35.0) * (0.5 + 2.0 * _const("G") / math.pi)),
     ))
     entries.append(_scalar_entry(
         "ZETA3_13", "Eq. (13)",
         "zeta(3) = (2pi^2/9)(log 2 + 2 sum_{n>=0} zeta(2n)/((2n+3) 4^n)), zeta(0) = -1/2",
         p=lambda n: 1.0 / (2 * n + 3), ratio=1 / 4, start_index=0,
-        closed_fn=lambda _p: _const("zeta3"),
-        offset_fn=lambda _p: (2.0 * math.pi ** 2 / 9.0) * math.log(2.0),
-        scale_fn=_f(4.0 * math.pi ** 2 / 9.0),
-        targets=("zeta3",),
+        **_zeta3(4.0 * math.pi ** 2 / 9.0, lambda _p: (2.0 * math.pi ** 2 / 9.0) * math.log(2.0)),
     ))
     entries.append(_series(
         "ZETA3_APERY_14", "Eq. (14)",
@@ -396,72 +388,55 @@ def _build_registry() -> dict[str, IdentityDescriptor]:
         _apery_term,
         # alternating with strictly decreasing magnitudes: first omitted term
         lambda N: abs(_apery_term(None, N + 1)),
-        closed_fn=lambda _p: _const("zeta3"),
-        scale_fn=_f(2.5),
-        targets=("zeta3",),
+        **_zeta3(2.5),
     ))
     entries.append(_scalar_entry(
         "ZETA3_CK_15", "Eq. (15)",
         "zeta(3) = -(pi^2/3) sum_{n>=0} (2n+5) zeta(2n)/((2n+1)(2n+2)(2n+3) 4^n), zeta(0) = -1/2",
         p=lambda n: (2 * n + 5.0) / ((2 * n + 1) * (2 * n + 2) * (2 * n + 3)), ratio=1 / 4,
         start_index=0,
-        closed_fn=lambda _p: _const("zeta3"),
-        scale_fn=_f(-math.pi ** 2 / 3.0),
-        targets=("zeta3",),
+        **_zeta3(-math.pi ** 2 / 3.0),
     ))
     entries.append(_scalar_entry(
         "ZETA3_EWELL_16", "Eq. (16)",
         "zeta(3) = -(4pi^2/7) sum_{n>=0} zeta(2n)/((2n+1)(2n+2) 4^n), zeta(0) = -1/2",
         p=lambda n: 1.0 / ((2 * n + 1) * (2 * n + 2)), ratio=1 / 4, start_index=0,
-        closed_fn=lambda _p: _const("zeta3"),
-        scale_fn=_f(-4.0 * math.pi ** 2 / 7.0),
-        targets=("zeta3",),
+        **_zeta3(-4.0 * math.pi ** 2 / 7.0),
     ))
     entries.append(_scalar_entry(
         "ZETA3_17", "Eq. (17)",
         "zeta(3) = (4pi^2/35)(3/2 - log(pi/2) + sum_{n>=1} zeta(2n)/(n(n+1)(2n+1) 16^n))",
         p=lambda n: 1.0 / (n * (n + 1) * (2 * n + 1)), ratio=1 / 16,
-        closed_fn=lambda _p: _const("zeta3"),
-        offset_fn=lambda _p: (4.0 * math.pi ** 2 / 35.0) * (1.5 - math.log(math.pi / 2.0)),
-        scale_fn=_f(4.0 * math.pi ** 2 / 35.0),
-        targets=("zeta3",),
+        **_zeta3(4.0 * math.pi ** 2 / 35.0,
+                 lambda _p: (4.0 * math.pi ** 2 / 35.0) * (1.5 - math.log(math.pi / 2.0))),
     ))
     entries.append(_scalar_entry(
         "ZETA3_18", "Eq. (18)",
         "zeta(3) = -(64/3pi) beta(4) + (8pi^2/9)(4/3 - log(pi/2) + 3 sum_{n>=1} zeta(2n)/(n(2n+1)(2n+3) 16^n))",
         p=lambda n: 1.0 / (n * (2 * n + 1) * (2 * n + 3)), ratio=1 / 16,
-        closed_fn=lambda _p: _const("zeta3"),
-        offset_fn=lambda _p: (
+        **_zeta3(8.0 * math.pi ** 2 / 3.0, lambda _p: (
             -64.0 / (3.0 * math.pi) * _const("beta4")
             + (8.0 * math.pi ** 2 / 9.0) * (4.0 / 3.0 - math.log(math.pi / 2.0))
-        ),
-        scale_fn=_f(8.0 * math.pi ** 2 / 3.0),
-        targets=("zeta3",),
+        )),
     ))
     entries.append(_scalar_entry(
         "ZETA3_19", "Eq. (19)",
         "zeta(3) = -(64/3pi) beta(4) + (16pi^2/27)(1/2 + 3G/pi - 3 sum_{n>=1} zeta(2n)/((2n+1)(2n+3) 16^n))",
         p=lambda n: 1.0 / ((2 * n + 1) * (2 * n + 3)), ratio=1 / 16,
-        closed_fn=lambda _p: _const("zeta3"),
-        offset_fn=lambda _p: (
+        **_zeta3(-16.0 * math.pi ** 2 / 9.0, lambda _p: (
             -64.0 / (3.0 * math.pi) * _const("beta4")
             + (16.0 * math.pi ** 2 / 27.0) * (0.5 + 3.0 * _const("G") / math.pi)
-        ),
-        scale_fn=_f(-16.0 * math.pi ** 2 / 9.0),
-        targets=("zeta3",),
+        )),
     ))
     entries.append(_scalar_entry(
         "ZETA3_20", "Eq. (20)",
         "zeta(3) = (2pi^2/35)(9 + 138 log 2 - 18 log 3 - 50 log 5 - 2 log pi"
         " + 2 sum_{n>=1} (zeta(2n)-1)/(n(2n+1)(n+1) 16^n))",
         p=lambda n: 1.0 / (n * (2 * n + 1) * (n + 1)), ratio=1 / 16, minus_one=True,
-        closed_fn=lambda _p: _const("zeta3"),
-        offset_fn=lambda _p: (2.0 * math.pi ** 2 / 35.0) * (
+        **_zeta3(4.0 * math.pi ** 2 / 35.0, lambda _p: (2.0 * math.pi ** 2 / 35.0) * (
             9.0 + 138.0 * math.log(2.0) - 18.0 * math.log(3.0)
             - 50.0 * math.log(5.0) - 2.0 * math.log(math.pi)
-        ),
-        scale_fn=_f(4.0 * math.pi ** 2 / 35.0),
-        targets=("zeta3",),
+        )),
     ))
 
     # rational zeta series over zeta(n, 2) = zeta(n) - 1 (reindexed to n >= 1)
@@ -633,11 +608,7 @@ def get(id: str) -> IdentityDescriptor:
 
 def list_identities() -> list[IdentitySummary]:
     """Summaries of every registry entry, in deterministic citation order."""
-    out = []
-    for e in _REGISTRY.values():
-        params = e.param_domain if (e.is_family or e.status == "representation") else ""
-        out.append(IdentitySummary(e.id, e.paper_eq, e.status, params, e.description))
-    return out
+    return [IdentitySummary(e.id, e.paper_eq, e.status, e.param_domain, e.description) for e in _REGISTRY.values()]
 
 
 PARAM_CAP = 256  # keeps binomial coefficients comfortably inside float range

@@ -7,8 +7,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
 from . import catalog
 from .catalog import CatalogKey, InconclusiveError
@@ -56,18 +55,10 @@ class VerificationReport(namedtuple(
     __slots__ = ()
 
     def to_dict(self) -> dict:
-        return {
-            "key": {"id": self.key.id, "param": self.key.param},
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "abs_err": self.abs_err,
-            "rel_err": self.rel_err,
-            "n_terms": self.n_terms,
-            "tolerance": self.tolerance,
-            "variant": self.variant,
-            "pass": self.passed,
-            "inconclusive": self.inconclusive,
-        }
+        """The fields in order, passed named "pass" and key as {id, param}."""
+        out = {"pass" if name == "passed" else name: value for name, value in zip(self._fields, self)}
+        out["key"] = {"id": self.key.id, "param": self.key.param}
+        return out
 
 
 def _report(key: CatalogKey, lhs_value: float, lhs_bound: float, rhs: float,
@@ -117,18 +108,13 @@ def verify_all(tolerance: float, param_limit: int) -> list[VerificationReport]:
     for entry in catalog.registry().values():
         if not entry.verifiable:
             continue
-        if entry.is_family:
-            params: Iterable[int] = range(entry.param_min, param_limit + 1)
-        else:
-            params = (None,)  # type: ignore[assignment]
-        first = True
-        for p in params:
+        params = range(entry.param_min, param_limit + 1) if entry.is_family else (None,)
+        for i, p in enumerate(params):
             key = CatalogKey(entry.id, p)
             try:
-                reports.extend(verify(key, tolerance, include_printed=first))
+                reports.extend(verify(key, tolerance, include_printed=i == 0))
             except InconclusiveError:
                 reports.append(inconclusive_report(key, tolerance))
-            first = False
     return reports
 
 
@@ -138,6 +124,8 @@ def check_binomial_identity(n_max: int, j_max: int) -> bool:
     This is the reduction step behind the even binomial-sum family; checked
     in exact rational arithmetic over 1 <= n <= n_max, 1 <= j <= j_max.
     """
+    from fractions import Fraction
+
     if n_max < 1 or j_max < 1:
         raise ValueError("bounds must be >= 1")
     for n in range(1, n_max + 1):
@@ -151,6 +139,8 @@ def check_binomial_identity(n_max: int, j_max: int) -> bool:
 
 def check_reciprocal_identity(k_max: int) -> bool:
     """Exact check of 1/(2k-1) - 1/(2k) = 1/(2k(2k-1)) for 1 <= k <= k_max."""
+    from fractions import Fraction
+
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     return all(

@@ -339,10 +339,11 @@ NO_FRACTIONS = ("fractions", "decimal")
     (["compute", "zeta3"], SPECFUN_ONLY + NO_FRACTIONS),
     (["compute", "zeta3", "--method", "apery", "--tol", "1e-12"], NO_CHECKS + NO_FRACTIONS),
     (["list", "--format", "json"], NO_CHECKS + NO_FRACTIONS),
-    (["converge", "--target", "zeta3"], ("zetakit.verifier", "zetakit.quadrature")),
-    (["verify", "--id", "THM_21", "--m", "5"], ("zetakit.convergence",)),
+    (["converge", "--target", "zeta3"], ("zetakit.verifier", "zetakit.quadrature") + NO_FRACTIONS),
+    (["verify", "--id", "THM_21", "--m", "5"], ("zetakit.convergence",) + NO_FRACTIONS),
     (["compute", "zeta3", "--method", "ewell", "--tol", "1e-12"], NO_CHECKS + NO_FRACTIONS),
     (["list"], NO_CHECKS + NO_FRACTIONS),
+    (["verify", "--all", "--format", "json"], ("zetakit.convergence",) + NO_FRACTIONS),
 ])
 def test_command_loads_only_what_it_runs(argv, absent):
     body = ("from zetakit import cli\n"
