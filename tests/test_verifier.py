@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -427,6 +428,25 @@ def test_cross_check_near_period_boundary():
 def test_cross_check_validates_grid():
     with pytest.raises(ValueError):
         cross_check_clausen(4, 1e-9)
+
+
+def test_clausen_route_bits_are_pinned():
+    # the direct Cl2 oracle on the cross-check grid and at far angles, the
+    # cross-check report, and each integral identity's report (whose n_terms
+    # is the quadrature evaluation count), bit for bit
+    lo, hi = 0.05, 2.0 * math.pi - 0.05
+    step = (hi - lo) / 63
+    thetas = [lo + i * step for i in range(64)]
+    thetas += [1e-3, -0.0011, 6.2455, 3 * PI + 1e-9, 1e4, 1e6]
+    lines = []
+    for theta in thetas:
+        r = clausen_cl2(theta, "direct")
+        lines.append(f"{theta.hex()} {r.value.hex()} {r.terms_used} {r.error_bound.hex()}")
+    reports = [cross_check_clausen()]
+    reports += [verify_integral_identity(i, 1e-10) for i in verifier.INTEGRAL_IDENTITY_IDS]
+    lines.append(verifier.reports_to_json(reports))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "00531cf47f6b2eeb3363431fe713239fff36b381c2f24450193c69db503ac1b1"
 
 
 # --- records --------------------------------------------------------------------
