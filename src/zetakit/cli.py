@@ -20,6 +20,10 @@ __all__ = ["main", "build_parser"]
 
 CONSTANTS = ("zeta", "zeta3", "catalan", "gamma", "beta", "cl2", "zetaE")
 
+# the inputs besides --tol that each constant reads; any other is a usage error
+_COMPUTE_INPUTS = {"zeta": ("value",), "zeta3": ("method",), "catalan": (), "gamma": (),
+                   "beta": ("value",), "cl2": ("theta", "method"), "zetaE": ("value",)}
+
 ZETA3_METHOD_ALIASES = {
     "apery": "ZETA3_APERY_14",
     "ewell": "ZETA3_EWELL_16",
@@ -85,14 +89,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | None, parser: argparse.ArgumentParser) -> None:
     if out is None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        parser.error(f"cannot write --out {out}: {exc.strerror or exc}")  # exits 2
 
 
 def _print_result(res: EvalResult) -> None:
@@ -122,6 +129,9 @@ def _cmd_compute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     from .specfun import (catalan, clausen_cl2, dirichlet_beta, euler_gamma, riemann_zeta,
                           zeta_e_weighted)
 
+    for name, flag in (("value", "argument"), ("theta", "--theta"), ("method", "--method")):
+        if getattr(args, name) is not None and name not in _COMPUTE_INPUTS[args.constant]:
+            parser.error(f"compute {args.constant} takes no {flag}")
     try:
         if args.constant == "zeta":
             if args.value is None:
@@ -160,6 +170,8 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
     try:
         if args.all_ids:
+            if args.m is not None or args.k is not None:
+                raise ValueError(f"verify --all takes no --{'m' if args.m is not None else 'k'}")
             reports = verify_all(args.tol, args.param_limit)
         else:
             name = get(args.id).param_name  # a family takes its own flag only
@@ -174,7 +186,7 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     except (KeyError, ValueError) as exc:
         parser.error(str(exc.args[0] if exc.args else exc))
     text = reports_to_json(reports) if args.format == "json" else reports_to_text(reports)
-    _emit(text, args.out)
+    _emit(text, args.out, parser)
     if any(r.inconclusive for r in reports):
         return 3
     if any(not r.passed and r.variant != "printed" for r in reports):
@@ -193,7 +205,7 @@ def _cmd_converge(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         return 3
     except ValueError as exc:
         parser.error(str(exc))
-    _emit(export(table, args.format), args.out)
+    _emit(export(table, args.format), args.out, parser)
     return 0
 
 
@@ -210,7 +222,7 @@ def _cmd_list(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         text = "\n".join(
             f"{s.id:<{width}}  {s.paper_eq:<9}  {s.status:<14} {s.description}" for s in summaries
         )
-    _emit(text, args.out)
+    _emit(text, args.out, parser)
     return 0
 
 

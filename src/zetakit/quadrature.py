@@ -16,6 +16,7 @@ __all__ = ["QuadratureResult", "tanh_sinh"]
 # decayed below 1e-35, far past anything a log singularity can claw back.
 _T_MAX = 4.0
 _MAX_LEVEL = 11  # refinement levels after level 0: the step halves down to 2^-11
+_TARGET = 1e-12  # relative level-to-level difference at which refinement stops
 
 
 class QuadratureResult(namedtuple("QuadratureResult", "value error_estimate evaluations")):
@@ -46,13 +47,7 @@ def _node(t: float, a: float, b: float, half: float) -> tuple[float, float, floa
     return a + d, b - d, w
 
 
-def tanh_sinh(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    *,
-    target: float = 1e-12,
-) -> QuadratureResult:
+def tanh_sinh(f: Callable[[float], float], a: float, b: float) -> QuadratureResult:
     """Integrate f over the finite interval [a, b], a < b, whose width b - a is finite.
 
     Endpoint singularities must be integrable; the transform pushes nodes
@@ -103,6 +98,6 @@ def tanh_sinh(
         new_value = h * acc.value
         err = abs(new_value - value)
         value = new_value
-        if level >= 3 and err <= target * max(1.0, abs(value)):
+        if level >= 3 and err <= _TARGET * max(1.0, abs(value)):
             break
     return QuadratureResult(value, err, evals)

@@ -62,7 +62,7 @@ _CVZ_TERMS = 48  # alternating-series acceleration depth for 0 < s < 1
 _CVZ_ROUNDING = 1.237e-15 + (1.5 * 33.95 + 2.0) * sys.float_info.epsilon
 
 _DIRECT_CL2_TERMS = 1_000_000
-DIRECT_CL2_TARGET = 1.0 / _DIRECT_CL2_TERMS  # the bound the direct Cl2's default depth meets
+DIRECT_CL2_TARGET = 1.0 / _DIRECT_CL2_TERMS  # the bound the direct Cl2's depth meets
 
 _CL2_RANGE = 2.03  # max Cl2 - min Cl2 = 2 Cl2(pi/3) = 2.0298832...
 _LOG2 = math.log(2.0)
@@ -461,7 +461,7 @@ def _cl2_direct(r: float, n_terms: int) -> EvalResult:
     return EvalResult(value, n_terms, _direct_bound(r, n_terms))
 
 
-def clausen_cl2(theta: float, method: str = "auto", *, n_terms: int | None = None) -> EvalResult:
+def clausen_cl2(theta: float, method: str = "auto") -> EvalResult:
     """Clausen function Cl2(theta) = sum sin(k theta)/k^2.
 
     The argument is first reduced by oddness and 2 pi periodicity onto
@@ -471,20 +471,17 @@ def clausen_cl2(theta: float, method: str = "auto", *, n_terms: int | None = Non
     Methods: "accel" (log-peeled power series in (theta/2pi)^2), "wzl"
     (variant with the log(2 sin(theta/2)) term), "peeled" (zeta(2n) - 1
     coefficients, fastest ratio), "direct" (plain partial sum, oracle
-    quality only), and "auto" (accel below pi/2, wzl above).  `n_terms`
-    sets the term count of the direct method only; by default it is the
-    least count whose bound, reduction allowance included, is at most
-    DIRECT_CL2_TARGET (1e-6), and never more than _DIRECT_CL2_TERMS.  An
-    allowance of 1e-6 or more (|theta| beyond about 1e10) leaves no such
-    count; the default is then the least count whose own bound is at most
-    the allowance.
+    quality only), and "auto" (accel below pi/2, wzl above).  The direct
+    method sums the least term count whose bound, reduction allowance
+    included, is at most DIRECT_CL2_TARGET (1e-6), and never more than
+    _DIRECT_CL2_TERMS.  An allowance of 1e-6 or more (|theta| beyond about
+    1e10) leaves no such count; it then sums the least count whose own
+    bound is at most the allowance.
     """
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
     if method not in CL2_METHODS:
         raise ValueError(f"unknown Cl2 method {method!r}")
-    if n_terms is not None and n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
     r, sign, spread = _cl2_reduce(theta)
     if method == "auto":
         method = "accel" if r <= 0.5 * math.pi else "wzl"
@@ -493,7 +490,7 @@ def clausen_cl2(theta: float, method: str = "auto", *, n_terms: int | None = Non
     elif method == "direct":
         # past an allowance of 1e-6 no depth meets 1e-6; match the allowance
         target = DIRECT_CL2_TARGET - spread if spread < DIRECT_CL2_TARGET else spread
-        res = _cl2_direct(r, n_terms or _direct_depth(r, target))
+        res = _cl2_direct(r, _direct_depth(r, target))
     else:
         res = _cl2_series(r, method)
     return EvalResult(sign * res.value, res.terms_used, res.error_bound + spread)

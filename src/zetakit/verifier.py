@@ -192,7 +192,7 @@ def _interior_singularities(lattice: tuple[float, float], a: float, b: float) ->
     return points
 
 
-def quadrature(integrand_id: str, lower: float, upper: float, *, target: float = 1e-12) -> QuadratureResult:
+def quadrature(integrand_id: str, lower: float, upper: float) -> QuadratureResult:
     """Tanh-sinh integral of a registered log-trig integrand over [lower, upper].
 
     The interval is split at interior singular points of the integrand, so
@@ -211,7 +211,7 @@ def quadrature(integrand_id: str, lower: float, upper: float, *, target: float =
     err = 0.0
     evals = 0
     for left, right in zip(cuts, cuts[1:]):
-        piece = tanh_sinh(f, left, right, target=target)
+        piece = tanh_sinh(f, left, right)
         total.add(piece.value)
         err += piece.error_estimate
         evals += piece.evaluations
@@ -261,12 +261,8 @@ def integral_rhs(id: str, theta: float) -> tuple[float, float]:
     return rhs(theta, coeff * cl2.value), abs(coeff) * (cl2.error_bound + cl2_drift(x, delta))
 
 
-def verify_integral_identity(
-    id: str,
-    tolerance: float,
-    thetas: tuple[float, ...] = THETA_GRID,
-) -> VerificationReport:
-    """Check one log-trig integral identity on the theta grid.
+def verify_integral_identity(id: str, tolerance: float) -> VerificationReport:
+    """Check one log-trig integral identity on THETA_GRID.
 
     The report carries the worst grid point: lhs is the quadrature value
     times the identity's sign, rhs the Cl2-based closed form, and the pass
@@ -275,12 +271,10 @@ def verify_integral_identity(
     """
     if id not in _INTEGRAL_IDENTITIES:
         raise ValueError(f"unknown integral identity {id!r}")
-    if not thetas:
-        raise ValueError("verify_integral_identity needs at least one theta")
     integrand_id, sign, _, _ = _INTEGRAL_IDENTITIES[id]
     worst = None
     evals = 0
-    for t in thetas:
+    for t in THETA_GRID:
         q = quadrature(integrand_id, 0.0, t)
         evals += q.evaluations
         lhs = sign * q.value
@@ -292,21 +286,24 @@ def verify_integral_identity(
     return _report(CatalogKey(id), lhs, bound, rhs, evals, tolerance, "corrected")
 
 
-def cross_check_clausen(grid_points: int = 64, tolerance: float = 1e-9) -> VerificationReport:
-    """Pairwise agreement of the accel/peeled/wzl Clausen methods on a grid.
+_CROSS_CHECK_POINTS = 64
+_CROSS_CHECK_TOLERANCE = 1e-9
+
+
+def cross_check_clausen() -> VerificationReport:
+    """Pairwise agreement, within 1e-9, of the accel/peeled/wzl Clausen
+    methods at 64 evenly spaced angles from 0.05 to 2 pi - 0.05.
 
     The direct partial sum rides along at specfun.DIRECT_CL2_TARGET, the
-    bound its default depth is chosen to meet.
+    bound its depth is chosen to meet.
     The report's lhs/rhs are the two accelerated-method values realizing the
     worst pairwise gap.
     """
-    if grid_points < 8:
-        raise ValueError("grid_points must be >= 8")
     lo, hi = 0.05, 2.0 * math.pi - 0.05
-    step = (hi - lo) / (grid_points - 1)
+    step = (hi - lo) / (_CROSS_CHECK_POINTS - 1)
     worst = (0.0, 0.0, 0.0)
     worst_direct = 0.0
-    for i in range(grid_points):
+    for i in range(_CROSS_CHECK_POINTS):
         theta = lo + i * step
         accel = clausen_cl2(theta, "accel").value
         peeled = clausen_cl2(theta, "peeled").value
@@ -318,9 +315,9 @@ def cross_check_clausen(grid_points: int = 64, tolerance: float = 1e-9) -> Verif
         worst_direct = max(worst_direct, abs(direct - accel))
     gap, x, y = worst
     rel = gap / abs(y) if y != 0.0 else math.inf
-    passed = gap <= tolerance and worst_direct <= DIRECT_CL2_TARGET
+    passed = gap <= _CROSS_CHECK_TOLERANCE and worst_direct <= DIRECT_CL2_TARGET
     return VerificationReport(CatalogKey("CL2_CROSS_CHECK"), x, y, gap, rel,
-                              grid_points, tolerance, "corrected", passed)
+                              _CROSS_CHECK_POINTS, _CROSS_CHECK_TOLERANCE, "corrected", passed)
 
 
 # --- report serialization -----------------------------------------------------

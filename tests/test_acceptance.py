@@ -64,7 +64,7 @@ def test_criterion_3_zeta3_nine_ways():
 
 
 def test_criterion_4_clausen_cross_check():
-    report = cross_check_clausen(64, 1e-9)
+    report = cross_check_clausen()  # 64 angles, tolerance 1e-9
     ok = report.passed
     ok = ok and abs(clausen_cl2(PI).value) <= 1e-11
     ok = ok and abs(clausen_cl2(PI / 2).value - catalan().value) <= 1e-11

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from zetakit import catalog
+from zetakit import catalog, specfun
 from zetakit.catalog import CatalogKey
 from zetakit.specfun import (CL2_METHODS, cl2_drift, clausen_cl2, dirichlet_beta, polygamma,
                              riemann_zeta, zeta_e_weighted)
@@ -93,7 +93,7 @@ def test_cl2_drift_bounds_the_move_of_cl2(theta):
      (math.pi - 1e-9, 99_999), (1e-4, 50_000), (1e-5, 1_000)],
 )
 def test_direct_oracle_bound(r, n):
-    res = clausen_cl2(r, "direct", n_terms=n)
+    res = specfun._cl2_direct(r, n)  # r in (0, pi]: no reduction
     assert res.terms_used == n
     assert _within_bound(res, _cl2_ref(r))
 

@@ -52,7 +52,7 @@ def test_compute_other_constants(capsys):
         assert abs(float(out.split()[0].split("=")[1]) - expected) <= 1e-12
 
 
-def test_compute_usage_errors(capsys):
+def test_compute_usage_errors(capsys, tmp_path):
     for argv in (
         ["compute", "nope"],
         ["compute", "zeta3", "--method", "bogus"],
@@ -60,7 +60,14 @@ def test_compute_usage_errors(capsys):
         ["compute", "cl2"],         # missing --theta
         ["compute", "cl2", "--theta", "1", "--method", "bogus"],
         ["compute", "zeta"],        # missing argument
+        # inputs the constant does not read were once dropped silently
+        ["compute", "catalan", "5"],
+        ["compute", "beta", "3", "--theta", "2"],
+        ["compute", "beta", "3", "--method", "accel"],
+        ["compute", "zeta3", "3"],
         ["converge", "--target", "bogus"],
+        # an unwritable --out was once a traceback and exit 1
+        ["list", "--out", str(tmp_path / "missing" / "x")],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -167,16 +174,18 @@ def test_verify_inconclusive_exit_code(capsys, monkeypatch):
     assert "INCONCLUSIVE" in out
 
 
-def test_verify_bad_flags():
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--all", "--tol", "1e-20"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--all", "--param-limit", "100"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--id", "NOPE_1"])
-    assert exc.value.code == 2
+def test_verify_bad_flags(capsys):
+    for argv in (
+        ["verify", "--all", "--tol", "1e-20"],
+        ["verify", "--all", "--param-limit", "100"],
+        ["verify", "--id", "NOPE_1"],
+        ["verify", "--all", "--m", "3"],  # a family flag was once dropped under --all
+        ["verify", "--all", "--k", "3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_usage_error_prints_the_message_unquoted(capsys):

@@ -8,10 +8,15 @@ underscore.  A setting read from the environment is an option that no
 signature shows, so the library reads none: os.environ and os.getenv are
 out, however they are imported.  Nor does any module use an assert
 statement: python -O strips them, and a runtime check must still run there.
+Each optional parameter of a public function doubles the configurations
+that tests must cover, so only the three that callers vary have a default.
 """
 
 import ast
+import importlib
+import inspect
 import pathlib
+import types
 
 import zetakit
 
@@ -155,3 +160,41 @@ def test_the_guard_sees_private_imports_and_reads():
     }
     assert private_reads(sources) == [("verifier", 1, "_cl2_reduce"), ("verifier", 3, "_CL2_RANGE"),
                                       ("verifier", 6, "_steps")]
+
+
+# (module, function, parameter): the only optional parameters of public functions
+ALLOWED_OPTIONS = {("specfun", "clausen_cl2", "method"), ("verifier", "verify", "include_printed"),
+                   ("cli", "main", "argv")}
+
+
+def optional_parameters(modules):
+    """(module, function, parameter) for each parameter with a default of each
+    function a module lists in __all__, named by the module that defines it."""
+    found = set()
+    for module in modules:
+        for name in module.__all__:
+            fn = getattr(module, name)
+            if inspect.isfunction(fn):
+                found |= {(fn.__module__.rpartition(".")[2], fn.__name__, p.name)
+                          for p in inspect.signature(fn).parameters.values() if p.default is not p.empty}
+    return found
+
+
+def test_public_functions_take_only_the_allowed_options():
+    package = pathlib.Path(zetakit.__file__).parent
+    modules = [zetakit] + [importlib.import_module(f"zetakit.{path.stem}")
+                           for path in sorted(package.glob("*.py")) if path.stem != "__init__"]
+    assert len(modules) == 9
+    assert optional_parameters(modules) == ALLOWED_OPTIONS
+
+
+def test_the_guard_sees_optional_parameters():
+    def f(a, b=1, *, c=None, d):
+        pass
+
+    def g(x=1):
+        pass
+
+    module = types.SimpleNamespace(__all__=["f"], f=f, g=g)
+    assert optional_parameters([module]) == {("test_private_names", "f", "b"),
+                                             ("test_private_names", "f", "c")}

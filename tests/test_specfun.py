@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zetakit
+from zetakit import specfun
 from zetakit.exact import beta_odd_exact, bernoulli, zeta_e_exact, zeta_even_exact
 from zetakit.quadrature import QuadratureResult
 from zetakit.specfun import (
@@ -395,7 +396,7 @@ def test_cl2_error_bounds_cover_true_error():
         for r in res.values():
             assert abs(r.value - med) <= r.error_bound
     d = clausen_cl2(2.0, "direct")
-    d_hi = clausen_cl2(2.0, "direct", n_terms=10_000_000)
+    d_hi = specfun._cl2_direct(2.0, 10_000_000)
     assert abs(d.value - d_hi.value) <= d.error_bound
 
 
@@ -422,8 +423,9 @@ def test_cl2_direct_default_depth():
         res = clausen_cl2(theta, "direct")
         assert res.error_bound <= 1e-6
         assert 1 <= res.terms_used < 1_000_000
-        # the least depth: one term fewer misses 1e-6
-        assert clausen_cl2(theta, "direct", n_terms=res.terms_used - 1).error_bound > 1e-6
+        # the least depth: one term fewer misses 1e-6, reduction allowance included
+        r, _, spread = specfun._cl2_reduce(theta)
+        assert specfun._direct_bound(r, res.terms_used - 1) + spread > 1e-6
 
 
 def test_import_leaves_numpy_unloaded():
@@ -441,11 +443,6 @@ def test_cl2_rejects_bad_input():
     with pytest.raises(ValueError):
         clausen_cl2(1.0, "newton")
     assert "auto" in CL2_METHODS
-    # 0 used to run the default depth, a negative count to fail inside the bound
-    for n in (0, -5):
-        with pytest.raises(ValueError, match="^n_terms must be >= 1$"):
-            clausen_cl2(1.0, "direct", n_terms=n)
-    assert clausen_cl2(1.0, "direct", n_terms=1).terms_used == 1
 
 
 def test_cl2_drift_rejects_bad_input():
