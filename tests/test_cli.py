@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -73,6 +74,28 @@ def test_compute_usage_errors(capsys, tmp_path):
             main(argv)
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("constant, message", [
+    ("zeta", "compute zeta needs an argument s"),
+    ("beta", "compute beta needs an argument s"),
+    ("cl2", "compute cl2 needs --theta"),
+    ("zetaE", "compute zetaE needs an integer k"),
+])
+def test_compute_missing_input_names_it(capsys, constant, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", constant])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"zetakit: error: {message}"
+
+
+def test_compute_zeta3_direct_prints_pinned_bytes(capsys):
+    for argv in (["compute", "zeta3"], ["compute", "zeta3", "--method", "direct"]):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert out == "value=1.202056903159594 terms_used=28 error_bound=4.988e-15\n"
 
 
 def test_compute_tolerance_out_of_range():
@@ -172,6 +195,23 @@ def test_verify_inconclusive_exit_code(capsys, monkeypatch):
     code, out = run(capsys, "verify", "--id", "RZS_ONE", "--tol", "1e-9")
     assert code == 3
     assert "INCONCLUSIVE" in out
+
+
+def test_verify_wrong_closed_form_fails(capsys, monkeypatch):
+    closed_form = catalog.closed_form
+    monkeypatch.setattr(catalog, "closed_form", lambda key: closed_form(key) + 1.0)
+    code, out = run(capsys, "verify", "--id", "SUM_9", "--tol", "1e-10")
+    assert code == 1
+    assert out.startswith("SUM_9  corrected ") and out.endswith("  FAIL\n")
+
+
+def test_converge_inconclusive_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(catalog, "MAX_TERMS", 4)
+    code = main(["converge", "--target", "zeta3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "not reached at the 4-term cap" in captured.err
 
 
 def test_verify_bad_flags(capsys):
@@ -299,6 +339,19 @@ def test_converge_all_csv_prints_pinned_bytes(capsys):
     assert table.startswith("id,paper_eq,tolerance,terms_needed,achieved_error\n")
     digest = hashlib.sha256(table.encode("utf-8")).hexdigest()
     assert digest == "23c3c6532789fa9c480606fb5b7e2087d52f6fbe190242f828827de20c2f28fb"
+
+
+@pytest.mark.parametrize("format, timing, digest", [
+    ("markdown", r"\| \d+ \|$", "987e6fd57ac518f2a99351b491ec3282cc19e82eb47f96c776de3bb5b70109d3"),
+    ("json", r'"wall_time_ns": \d+$', "9076ce057eabc609a61d4a4ee1b8e0e03056e19f84833ee4b2ef03810bff8a26"),
+])
+def test_converge_all_prints_pinned_bytes(capsys, format, timing, digest):
+    code, out = run(capsys, "converge", "--target", "all", "--format", format)
+    assert code == 0
+    # the machine-dependent wall_time_ns is written as 0
+    table, count = re.subn(timing, lambda m: re.sub(r"\d+", "0", m.group()), out, flags=re.M)
+    assert count == 26
+    assert hashlib.sha256(table.encode("utf-8")).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv", [
