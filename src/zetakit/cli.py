@@ -20,10 +20,6 @@ __all__ = ["main", "build_parser"]
 
 CONSTANTS = ("zeta", "zeta3", "catalan", "gamma", "beta", "cl2", "zetaE")
 
-# the inputs besides --tol that each constant reads; any other is a usage error
-_COMPUTE_INPUTS = {"zeta": ("value",), "zeta3": ("method",), "catalan": (), "gamma": (),
-                   "beta": ("value",), "cl2": ("theta", "method"), "zetaE": ("value",)}
-
 ZETA3_METHOD_ALIASES = {
     "apery": "ZETA3_APERY_14",
     "ewell": "ZETA3_EWELL_16",
@@ -71,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--m", type=int, default=None, help="family parameter m")
     p_verify.add_argument("--k", type=int, default=None, help="family parameter k")
     p_verify.add_argument("--tol", type=_tolerance, default=1e-10)
-    p_verify.add_argument("--param-limit", type=_bounded(int, 1, 64, "param-limit"), default=12)
+    p_verify.add_argument("--param-limit", type=_bounded(int, 1, 64, "param-limit"), default=None,
+                          help="largest family parameter, --all only (default 12)")
     p_verify.add_argument("--format", default="text", choices=("text", "json"))
     p_verify.add_argument("--out", default=None)
 
@@ -102,10 +99,6 @@ def _emit(text: str, out: str | None, parser: argparse.ArgumentParser) -> None:
         parser.error(f"cannot write --out {out}: {exc.strerror or exc}")  # exits 2
 
 
-def _print_result(res: EvalResult) -> None:
-    print(f"value={res.value:.16g} terms_used={res.terms_used} error_bound={res.error_bound:.3e}")
-
-
 def _compute_zeta3(method: str | None, tol: float) -> EvalResult | None:
     """zeta(3) directly, or by a catalogued series; None, with the reason on
     stderr, when the series reaches the term cap first."""
@@ -129,60 +122,51 @@ def _cmd_compute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     from .specfun import (catalan, clausen_cl2, dirichlet_beta, euler_gamma, riemann_zeta,
                           zeta_e_weighted)
 
+    # constant -> (the inputs besides --tol it reads, any other being a usage
+    # error; the input it needs and how the error names it; how it runs)
+    rows = {
+        "zeta": (("value",), ("value", "an argument s"), lambda: riemann_zeta(float(args.value))),
+        "zeta3": (("method",), None, lambda: _compute_zeta3(args.method, args.tol)),
+        "catalan": ((), None, catalan),
+        "gamma": ((), None, euler_gamma),
+        "beta": (("value",), ("value", "an argument s"), lambda: dirichlet_beta(float(args.value))),
+        "cl2": (("theta", "method"), ("theta", "--theta"),
+                lambda: clausen_cl2(args.theta, args.method or "auto")),
+        "zetaE": (("value",), ("value", "an integer k"), lambda: zeta_e_weighted(int(args.value))),
+    }
+    reads, needs, run = rows[args.constant]
     for name, flag in (("value", "argument"), ("theta", "--theta"), ("method", "--method")):
-        if getattr(args, name) is not None and name not in _COMPUTE_INPUTS[args.constant]:
+        if getattr(args, name) is not None and name not in reads:
             parser.error(f"compute {args.constant} takes no {flag}")
+    if needs is not None and getattr(args, needs[0]) is None:
+        parser.error(f"compute {args.constant} needs {needs[1]}")
     try:
-        if args.constant == "zeta":
-            if args.value is None:
-                raise ValueError("compute zeta needs an argument s")
-            res = riemann_zeta(float(args.value))
-        elif args.constant == "zeta3":
-            res = _compute_zeta3(args.method, args.tol)
-        elif args.constant == "catalan":
-            res = catalan()
-        elif args.constant == "gamma":
-            res = euler_gamma()
-        elif args.constant == "beta":
-            if args.value is None:
-                raise ValueError("compute beta needs an argument s")
-            res = dirichlet_beta(float(args.value))
-        elif args.constant == "cl2":
-            if args.theta is None:
-                raise ValueError("compute cl2 needs --theta")
-            res = clausen_cl2(args.theta, args.method or "auto")
-        else:  # zetaE
-            if args.value is None:
-                raise ValueError("compute zetaE needs an integer k")
-            res = zeta_e_weighted(int(args.value))
+        res = run()
     except (ValueError, KeyError) as exc:
         parser.error(str(exc.args[0] if exc.args else exc))  # exits 2; str(KeyError) is a repr
     if res is None:
         return 3
-    _print_result(res)
+    print(f"value={res.value:.16g} terms_used={res.terms_used} error_bound={res.error_bound:.3e}")
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from .catalog import CatalogKey, get
-    from .verifier import (InconclusiveError, inconclusive_report, reports_to_json, reports_to_text,
-                           verify, verify_all)
+    from .verifier import reports_to_json, reports_to_text, verify, verify_all
 
     try:
         if args.all_ids:
             if args.m is not None or args.k is not None:
                 raise ValueError(f"verify --all takes no --{'m' if args.m is not None else 'k'}")
-            reports = verify_all(args.tol, args.param_limit)
+            reports = verify_all(args.tol, args.param_limit or 12)
         else:
+            if args.param_limit is not None:
+                raise ValueError("verify --id takes no --param-limit")
             name = get(args.id).param_name  # a family takes its own flag only
             if name is not None and (args.k if name == "m" else args.m) is not None:
                 raise ValueError(f"{args.id} takes --{name}, not --{'k' if name == 'm' else 'm'}")
             param = args.m if args.m is not None else args.k
-            key = CatalogKey(args.id, param)
-            try:
-                reports = verify(key, args.tol)
-            except InconclusiveError:
-                reports = [inconclusive_report(key, args.tol)]
+            reports = verify(CatalogKey(args.id, param), args.tol)
     except (KeyError, ValueError) as exc:
         parser.error(str(exc.args[0] if exc.args else exc))
     text = reports_to_json(reports) if args.format == "json" else reports_to_text(reports)

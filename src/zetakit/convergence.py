@@ -14,9 +14,6 @@ __all__ = ["ConvergenceProfile", "profile", "compare", "export", "COMPARE_TARGET
 
 COMPARE_TARGETS = ("zeta3", "catalan-relations", "all")
 
-CSV_HEADER = "id,paper_eq,tolerance,terms_needed,achieved_error,wall_time_ns"
-
-
 ConvergenceProfile = namedtuple("ConvergenceProfile",
                                 "key tolerance terms_needed achieved_error wall_time_ns")
 
@@ -74,48 +71,28 @@ def compare(target: str, tolerance: float) -> list[ConvergenceProfile]:
     return rows
 
 
-def _g17(x: float) -> str:
-    return format(x, ".17g")
+# the exported columns, in order; csv, markdown and json all take them from here
+_COLUMNS = ("id", "paper_eq", "tolerance", "terms_needed", "achieved_error", "wall_time_ns")
 
 
 def export(table: list[ConvergenceProfile], format: str) -> str:
     """Render a profile table as csv, json, or markdown.
 
-    Floats are written with 17 significant digits so they reparse to the
-    identical bit pattern.
+    Floats are written with 17 significant digits (json: their shortest
+    repr) so they reparse to the identical bit pattern.
     """
-    rows = [
-        {
-            "id": p.key.label(),
-            "paper_eq": catalog.get(p.key.id).paper_eq,
-            "tolerance": p.tolerance,
-            "terms_needed": p.terms_needed,
-            "achieved_error": p.achieved_error,
-            "wall_time_ns": p.wall_time_ns,
-        }
-        for p in table
-    ]
-    if format == "csv":
-        lines = [CSV_HEADER]
-        for r in rows:
-            lines.append(
-                f"{r['id']},{r['paper_eq']},{_g17(r['tolerance'])},{r['terms_needed']},"
-                f"{_g17(r['achieved_error'])},{r['wall_time_ns']}"
-            )
-        return "\n".join(lines) + "\n"
+    rows = [dict(zip(_COLUMNS, (p.key.label(), catalog.get(p.key.id).paper_eq, p.tolerance,
+                                p.terms_needed, p.achieved_error, p.wall_time_ns)))
+            for p in table]
     if format == "json":
         import json
 
         return json.dumps(rows, indent=2) + "\n"
+    lines = [_COLUMNS, *([f"{v:.17g}" if isinstance(v, float) else str(v) for v in r.values()]
+                         for r in rows)]
+    if format == "csv":
+        return "".join(",".join(cells) + "\n" for cells in lines)
     if format == "markdown":
-        lines = [
-            "| id | paper_eq | tolerance | terms_needed | achieved_error | wall_time_ns |",
-            "| --- | --- | --- | --- | --- | --- |",
-        ]
-        for r in rows:
-            lines.append(
-                f"| {r['id']} | {r['paper_eq']} | {_g17(r['tolerance'])} | {r['terms_needed']} |"
-                f" {_g17(r['achieved_error'])} | {r['wall_time_ns']} |"
-            )
-        return "\n".join(lines) + "\n"
+        lines.insert(1, ("---",) * len(_COLUMNS))
+        return "".join(f"| {' | '.join(cells)} |\n" for cells in lines)
     raise ValueError(f"unknown format {format!r}")

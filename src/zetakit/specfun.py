@@ -441,8 +441,9 @@ def _direct_depth(r: float, target: float) -> int:
     scale = target * math.sin(0.5 * r)
     if scale <= 1.0 / cap ** 2:  # with target <= 1/cap, no n below the cap meets it
         return cap
-    # the Abel bound alone puts n within a step or two of the least
-    n = max(1, math.ceil(1.0 / math.sqrt(scale)) - 1)
+    # the least n at which either truncation bound alone (Abel's or
+    # 1/(n + 1/2)) meets target; the rounding pads move it a step or two
+    n = max(1, min(math.ceil(1.0 / math.sqrt(scale)) - 1, math.ceil(1.0 / target - 0.5)))
     while n < cap and _direct_bound(r, n) > target:
         n += 1
     while n > 1 and _direct_bound(r, n - 1) <= target:

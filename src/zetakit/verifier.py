@@ -75,9 +75,13 @@ def verify(key: CatalogKey, tolerance: float, *, include_printed: bool = True) -
 
     The sum is catalog.evaluate: at the least depth N whose tail bound
     clears tolerance/2, so the pass criterion abs_err <= tolerance + tail(N)
-    is decidable.
+    is decidable.  A sum that reaches the catalog.MAX_TERMS cap first raises
+    nothing: verify returns [inconclusive_report(key, tolerance)].
     """
-    lhs = catalog.evaluate(key, tolerance)
+    try:
+        lhs = catalog.evaluate(key, tolerance)
+    except InconclusiveError:
+        return [inconclusive_report(key, tolerance)]
     reports = [_report(key, lhs.value, lhs.error_bound, catalog.closed_form(key),
                        lhs.terms_used, tolerance, "corrected")]
     if catalog.get(key.id).status == "corrected" and include_printed:
@@ -110,11 +114,7 @@ def verify_all(tolerance: float, param_limit: int) -> list[VerificationReport]:
             continue
         params = range(entry.param_min, param_limit + 1) if entry.is_family else (None,)
         for i, p in enumerate(params):
-            key = CatalogKey(entry.id, p)
-            try:
-                reports.extend(verify(key, tolerance, include_printed=i == 0))
-            except InconclusiveError:
-                reports.append(inconclusive_report(key, tolerance))
+            reports.extend(verify(CatalogKey(entry.id, p), tolerance, include_printed=i == 0))
     return reports
 
 

@@ -65,6 +65,9 @@ def test_term_and_key_errors():
         catalog.term(CatalogKey("SUM_23", 4), 1)  # parameter on a scalar
     with pytest.raises(ValueError):
         catalog.term(CatalogKey("SUM_23"), 0)  # below start index
+    for below_start in (catalog.tail_bound, catalog.partial_sum):
+        with pytest.raises(ValueError, match="start index"):
+            below_start(CatalogKey("SUM_23"), 0)
     with pytest.raises(ValueError):
         catalog.partial_sum(CatalogKey("CL2_ACCEL_8"), 5)  # representation
 

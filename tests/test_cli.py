@@ -221,6 +221,9 @@ def test_verify_bad_flags(capsys):
         ["verify", "--id", "NOPE_1"],
         ["verify", "--all", "--m", "3"],  # a family flag was once dropped under --all
         ["verify", "--all", "--k", "3"],
+        # --param-limit, read by --all only, was once dropped under --id
+        ["verify", "--id", "SUM_9", "--param-limit", "5"],
+        ["verify", "--id", "THM_21", "--m", "5", "--param-limit", "12"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

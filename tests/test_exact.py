@@ -263,6 +263,13 @@ def test_taylor_coeff_examples():
     assert taylor_coeff("cot", 4).value == 0
 
 
+def test_negative_indices_are_value_errors():
+    with pytest.raises(ValueError):
+        euler_number(-1)
+    with pytest.raises(ValueError):
+        beta_odd_exact(-1)
+
+
 def test_taylor_coeff_errors():
     with pytest.raises(ValueError):
         taylor_coeff("tan", -1)

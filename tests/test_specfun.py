@@ -127,6 +127,10 @@ def test_zeta_minus_one_full_precision():
     assert abs(res.value - direct) <= 1e-15 * direct
     with pytest.raises(ValueError):
         zeta_minus_one(1.0)
+    with pytest.raises(ValueError):
+        zeta_even_float(-1)
+    with pytest.raises(ValueError):
+        zeta_even_m1_float(0)
 
 
 def test_zeta_even_float_views():
@@ -265,10 +269,12 @@ def test_polygamma_values():
 
 
 @pytest.mark.parametrize("call", [lambda: hurwitz_zeta(1600.0, 0.01), lambda: polygamma(300, 0.01),
-                                  lambda: polygamma(170, 0.1)],
-                         ids=["hurwitz(1600, 0.01)", "polygamma(300, 0.01)", "polygamma(170, 0.1)"])
+                                  lambda: polygamma(170, 0.1), lambda: polygamma(171, 1.0)],
+                         ids=["hurwitz(1600, 0.01)", "polygamma(300, 0.01)", "polygamma(170, 0.1)",
+                              "polygamma(171, 1.0)"])
 def test_values_past_the_float_range_are_value_errors(call):
-    # the head term (n + a)^-s, n!, or the product of the two overflows
+    # the head term (n + a)^-s, n!, or the product of the two overflows; at
+    # order 171 the ldexp that restores n!'s scale raises OverflowError
     with pytest.raises(ValueError, match="exceeds the float range"):
         call()
 
@@ -426,6 +432,20 @@ def test_cl2_direct_default_depth():
         # the least depth: one term fewer misses 1e-6, reduction allowance included
         r, _, spread = specfun._cl2_reduce(theta)
         assert specfun._direct_bound(r, res.terms_used - 1) + spread > 1e-6
+
+
+@pytest.mark.parametrize("theta, depth", [(104719755115.47098, 5418), (1e12, 338), (1e300, 1)])
+def test_cl2_direct_depth_past_the_allowance(monkeypatch, theta, depth):
+    # the reduction allowance is 1e-6 or more, so the depth meets the
+    # allowance itself; at the first theta r is 2.5e-6 and the Abel estimate
+    # alone is 65248 terms, which the search once walked down one at a time
+    r, _, spread = specfun._cl2_reduce(theta)
+    bound, calls = specfun._direct_bound, []
+    monkeypatch.setattr(specfun, "_direct_bound", lambda r, n: calls.append(n) or bound(r, n))
+    res = clausen_cl2(theta, "direct")
+    assert res.terms_used == depth
+    assert bound(r, depth) <= spread and (depth == 1 or bound(r, depth - 1) > spread)
+    assert len(calls) <= 8
 
 
 def test_import_leaves_numpy_unloaded():

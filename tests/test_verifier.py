@@ -15,7 +15,6 @@ from zetakit.catalog import CatalogKey
 from zetakit.quadrature import tanh_sinh
 from zetakit.specfun import catalan, clausen_cl2, riemann_zeta
 from zetakit.verifier import (
-    InconclusiveError,
     VerificationReport,
     check_binomial_identity,
     check_reciprocal_identity,
@@ -98,9 +97,11 @@ def test_verify_passes_at_any_tolerance(key, tolerance):
 
 
 def test_verify_inconclusive_under_term_cap(monkeypatch):
+    # verify returns the term-cap report; it does not raise InconclusiveError
     monkeypatch.setattr(catalog, "MAX_TERMS", 4)
-    with pytest.raises(InconclusiveError):
-        verify(CatalogKey("RZS_ONE"), 1e-9)
+    [report] = verify(CatalogKey("RZS_ONE"), 1e-9)
+    assert report.inconclusive and not report.passed
+    assert report.n_terms == catalog.MAX_TERMS
 
 
 # --- verify_all ------------------------------------------------------------------
@@ -247,7 +248,8 @@ calls = [lambda: quadrature("log_sin", 0.0, math.inf),
          lambda: quadrature("log_sin", math.nan, 1.0),
          lambda: tanh_sinh(math.exp, 0.0, math.inf),
          lambda: tanh_sinh(math.exp, -math.inf, 0.0),
-         lambda: tanh_sinh(math.exp, math.nan, 1.0)]
+         lambda: tanh_sinh(math.exp, math.nan, 1.0),
+         lambda: tanh_sinh(math.exp, 1.0, 0.0)]
 for call in calls:
     try:
         call()
