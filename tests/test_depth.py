@@ -415,6 +415,35 @@ def test_evaluate_tail_bound_and_partial_sums_bits_are_pinned():
     assert digest == "51ea6782c48c355e1fb0a881f5eb00d04db85219af1291e461e7dbf1b7643c5c"
 
 
+def test_family_evaluate_bits_are_pinned_at_every_param():
+    # value, depth and bound of evaluate for every family parameter up to
+    # PARAM_CAP (the battery above takes every eighth above 64, and the
+    # verify_all digest pins no error_bound)
+    lines = []
+    for id_ in FAMILY_IDS:
+        for p in range(catalog.get(id_).param_min, catalog.PARAM_CAP + 1):
+            key = CatalogKey(id_, p)
+            for tol in (1e-13, 1e-6):
+                value, terms, bound = catalog.evaluate(key, tol)
+                lines.append(f"{key.label()} {tol!r} {value.hex()} {terms} {bound.hex()}")
+    assert len(lines) == 2562  # 1 281 keys x 2 tolerances
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "0e87f804d04e5d79b1bc737a771d0649110179d66de9f04e8bb6578c9d8cf7f1"
+
+
+@pytest.mark.parametrize("id_", FAMILY_IDS)
+def test_family_terms_and_tails_are_non_negative(id_):
+    # the family scan drops abs() on its terms, tails and sums: every term is
+    # zeta(2n) C(.,.) (1 - 4^-n)^{0,1} / (n inv_pow^n) with n >= 1, so it is
+    # +0.0 or above, never -0.0
+    entry = catalog.get(id_)
+    assert entry.start_index >= 1
+    for p in (entry.param_min, 12, 64, catalog.PARAM_CAP):
+        for n, t, value, tail in islice(entry.stream(p, entry.start_index), 600):
+            for x in (t, value, tail):
+                assert x >= 0.0 and math.copysign(1.0, x) == 1.0, (p, n, x)
+
+
 def test_zeta_even_table_builds_alike_under_threads():
     # the family scans read one zeta(2n) table, built on first use: threads
     # that build it at once must each get the table and the results a single
