@@ -216,7 +216,7 @@ def _binom_family(id: str, paper_eq: str, description: str, *, top_offset: int, 
         return zeta_even_float(n) * (num / den)
 
     def scan_fn(param, N, size, limit, last):
-        """The family's one loop: each term is computed, summed, bounded and tested.
+        """The family's scan: a head loop, a replay of the head, then a steady loop.
 
         math.comb runs once; later binomials follow exactly from C(T+2, m) =
         C(T, m) grow / shrink, grow = (T+2)(T+1), shrink = (T+2-m)(T+1-m).
@@ -228,76 +228,92 @@ def _binom_family(id: str, paper_eq: str, description: str, *, top_offset: int, 
 
         M is the first n > N with a nonzero binomial and cap(n) <= q_star;
         cap(n) bounds |t(j+1)/t(j)| for j >= n and is nonincreasing.  The head
-        N..M is computed first, then summed with tail(M-1) = |t(M)|/(1 -
-        cap(M)) and tail(n) = |t(n+1)| + tail(n+1) below (float sums of
+        loop computes N..M; the replay sums N..M-1 with tail(M-1) = t(M)/(1 -
+        cap(M)) and tail(n) = t(n+1) + tail(n+1) below (float sums of
         non-negative terms, so non-increasing).  The leading zero binomials
-        share one tail, so the stop rule passes or fails them alike.  Past M,
-        tail(n) closes at n+1; a term that underflows to 0.0 closes with tail 0
-        (the true tail is below 1e-300).
+        share one tail, so the stop rule passes or fails them alike.  Past M
+        the steady loop closes tail(n) at n+1; a term that underflows to 0.0
+        closes with tail 0 (the true tail is below 1e-300).  Every term is
+        zeta(2n) C(.,.) (1 - 4^-n)^{0,1} / (n inv_pow^n) with n >= 1, so it,
+        each tail and each sum is +0.0 or above and takes no abs() (abs(x) is
+        x there, bit for bit).  The term body stays inline: a call costs more.
         """
         m = choose(param)
         n = first = max(N, (m - top_offset + 1) // 2)  # first n >= N with 2n + top_offset >= m
         top = 2 * n + top_offset
         c = math.comb(top, m)
         zetas, weights, known = zeta_even_table(), _WEIGHT, ZETA_EVEN_LEN
+        ldexp, tiny, floor, down = math.ldexp, _MIN_NORMAL, TAIL_FLOOR, -shift
         # terms through M; a zero first stands for the zero block N..first-1
         head = [0.0] if first > N else []
-        tails, ntail, replay, j = [], 0, 0, N  # the head's tails; next head index and n to sum
-        hi = lo = 0.0  # a CompensatedSum, inlined: this loop is nearly all of a deep verify_all
         while True:
-            if replay < ntail:
-                t, tail = head[replay], tails[replay]
-                replay += 1
-            else:
-                if n < known:
-                    zeta, weight = zetas[n], weights[n]
-                else:  # zeta(2n) and the weight are 1.0 there
-                    zeta = weight = 1.0
-                num = (c << 2 * n) - c if weighted else c  # c (4^n - 1)
-                try:
-                    q = math.ldexp(num / n, -shift * n)
-                except OverflowError:
-                    q = 0.0
-                if q <= _MIN_NORMAL:
-                    q = num / (n << shift * n)
-                x = zeta * q
-                grow, shrink = (top + 2) * (top + 1), (top + 2 - m) * (top + 1 - m)
-                # = ratio * (top+2) * (top+1) / shrink bit for bit: ratio is a power
-                # of two and grow < 2^53, so that product is exactly ratio * grow,
-                # and dividing it rounds as grow / shrink (one correctly rounded
-                # int quotient) does, scaled by ratio.  grow reaches 2^53 only past
-                # n = 4.7e7, where every term is 0.0 and cap < ratio * (1 + 2e-5).
-                cap = grow / shrink * ratio
-                if weighted:
-                    cap *= weight
-                c = c * grow // shrink
-                n, top = n + 1, top + 2
-                if not ntail:
-                    head.append(x)
-                    if n <= N + 1 or cap > q_star:
-                        continue
-                    tails = list(accumulate(map(abs, reversed(head[1:-1])),
-                                            initial=abs(x) / (1.0 - cap)))
-                    tails.reverse()
-                    zeros = first - N
-                    if zeros and size * (tails[0] + TAIL_FLOOR) > limit:
-                        replay, j = 1, first  # no zero passes: step over the block
-                    elif zeros:
-                        head[:1], tails[:1] = [0.0] * zeros, [tails[0]] * zeros
-                    prev, ntail = x, len(tails)
-                    continue
-                t, tail, prev = prev, abs(x) / (1.0 - cap), x
+            zeta = zetas[n] if n < known else 1.0  # zeta(2n) and the weight are 1.0 past the tables
+            num = (c << 2 * n) - c if weighted else c  # c (4^n - 1)
+            try:
+                q = ldexp(num / n, down * n)
+            except OverflowError:
+                q = 0.0
+            if q <= tiny:
+                q = num / (n << shift * n)
+            x = zeta * q
+            grow, shrink = (top + 2) * (top + 1), (top + 2 - m) * (top + 1 - m)
+            # = ratio * (top+2) * (top+1) / shrink bit for bit: ratio is a power
+            # of two and grow < 2^53, so that product is exactly ratio * grow,
+            # and dividing it rounds as grow / shrink (one correctly rounded
+            # int quotient) does, scaled by ratio.  grow reaches 2^53 only past
+            # n = 4.7e7, where every term is 0.0 and cap < ratio * (1 + 2e-5).
+            cap = grow / shrink * ratio
+            if weighted and n < known:
+                cap *= weights[n]
+            c = c * grow // shrink
+            n, top = n + 1, top + 2
+            head.append(x)
+            if n > N + 1 and cap <= q_star:
+                break
+        tails = list(accumulate(reversed(head[1:-1]), initial=x / (1.0 - cap)))
+        tails.reverse()
+        j, zeros = N, first - N
+        if zeros and size * (tails[0] + floor) > limit:
+            del head[0], tails[0]  # no zero passes: step over the block
+            j = first
+        elif zeros:
+            head[:1], tails[:1] = [0.0] * zeros, [tails[0]] * zeros
+        hi = lo = 0.0  # a CompensatedSum, inlined: these loops are nearly all of a deep verify_all
+        for t, tail in zip(head, tails):
             if j > last:
                 return
             s = hi + t
-            if abs(hi) >= abs(t):
-                lo += (hi - s) + t
-            else:
-                lo += (t - s) + hi
+            lo += (hi - s) + t if hi >= t else (t - s) + hi
             hi = s
-            if size * (tail + TAIL_FLOOR) <= limit:
+            if size * (tail + floor) <= limit:
                 yield j, t, hi + lo, tail
             j += 1
+        t = x
+        while True:
+            zeta = zetas[n] if n < known else 1.0
+            num = (c << 2 * n) - c if weighted else c
+            try:
+                q = ldexp(num / n, down * n)
+            except OverflowError:
+                q = 0.0
+            if q <= tiny:
+                q = num / (n << shift * n)
+            x = zeta * q
+            grow, shrink = (top + 2) * (top + 1), (top + 2 - m) * (top + 1 - m)
+            cap = grow / shrink * ratio
+            if weighted and n < known:
+                cap *= weights[n]
+            c = c * grow // shrink
+            n, top = n + 1, top + 2
+            if j > last:
+                return
+            s = hi + t
+            lo += (hi - s) + t if hi >= t else (t - s) + hi
+            hi = s
+            tail = x / (1.0 - cap)
+            if size * (tail + floor) <= limit:
+                yield j, t, hi + lo, tail
+            j, t = j + 1, x
 
     return IdentityDescriptor(id=id, paper_eq=paper_eq, status=status, description=description,
                               term_fn=term_fn, scan_fn=scan_fn, **fields)
@@ -632,6 +648,12 @@ def check_tolerance(tolerance: float) -> None:
         raise ValueError(f"tolerance must be finite and >= {MIN_TOLERANCE:g}")
 
 
+def _check_int(name: str, value) -> None:
+    """Raise ValueError unless value is an int; a bool is not one here."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, not {value!r}")
+
+
 def _resolve(key: CatalogKey) -> tuple[IdentityDescriptor, int | None]:
     entry = get(key.id)
     if not entry.verifiable:
@@ -639,6 +661,7 @@ def _resolve(key: CatalogKey) -> tuple[IdentityDescriptor, int | None]:
     if entry.is_family:
         if key.param is None:
             raise ValueError(f"{key.id} needs parameter {entry.param_name}")
+        _check_int(f"{key.id} parameter {entry.param_name}", key.param)
         if not (entry.param_min <= key.param <= PARAM_CAP):
             raise ValueError(
                 f"{key.id} parameter {entry.param_name} must be in [{entry.param_min}, {PARAM_CAP}]"
@@ -652,6 +675,7 @@ def _resolve(key: CatalogKey) -> tuple[IdentityDescriptor, int | None]:
 def term(key: CatalogKey, n: int) -> float:
     """The n-th summand of the identity (bare series, no offset/scale)."""
     entry, param = _resolve(key)
+    _check_int("n", n)
     if n < entry.start_index:
         raise ValueError(f"{key.id} starts at n = {entry.start_index}")
     return entry.term_fn(param, n)
@@ -678,6 +702,7 @@ def tail_bound(key: CatalogKey, N: int) -> float:
     sums it brackets are themselves compared in 64-bit arithmetic.
     """
     entry, param = _resolve(key)
+    _check_int("N", N)
     if N < entry.start_index:
         raise ValueError(f"N must be >= start index {entry.start_index}")
     return next(entry.stream(param, N))[3] + TAIL_FLOOR
@@ -685,7 +710,10 @@ def tail_bound(key: CatalogKey, N: int) -> float:
 
 def assembly(key: CatalogKey) -> tuple[float, float]:
     """(offset, scale) with assembled = offset + scale * bare series; (0, 1) for a bare series."""
-    entry, param = _resolve(key)
+    return _assembly(*_resolve(key))
+
+
+def _assembly(entry: IdentityDescriptor, param: int | None) -> tuple[float, float]:
     offset = entry.offset_fn(param) if entry.offset_fn is not None else 0.0
     scale = entry.scale_fn(param) if entry.scale_fn is not None else 1.0
     return offset, scale
@@ -709,7 +737,7 @@ def evaluate(key: CatalogKey, tolerance: float) -> EvalResult:
     """
     check_tolerance(tolerance)
     entry, param = _resolve(key)
-    offset, scale = assembly(key)
+    offset, scale = _assembly(entry, param)
     size, start = abs(scale), entry.start_index
     hit = next(entry.scan_fn(param, start, size, 0.5 * tolerance, start + MAX_TERMS - 1), None)
     if hit is None:
@@ -730,6 +758,7 @@ def depth_for(key: CatalogKey, tolerance: float) -> int:
 def partial_sum(key: CatalogKey, N: int) -> EvalResult:
     """Compensated bare-series sum of terms start_index..N with its tail bound."""
     start = _resolve(key)[0].start_index
+    _check_int("N", N)
     if N < start:
         raise ValueError(f"N must be >= start index {start}")
     _, value, bound = next(islice(partial_sums(key), N - start, None))

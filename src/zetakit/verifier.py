@@ -106,8 +106,9 @@ def verify_all(tolerance: float, param_limit: int) -> list[VerificationReport]:
     order of this list is the citation order regardless of how callers
     schedule the work.
     """
-    if not (1 <= param_limit <= catalog.PARAM_CAP):
-        raise ValueError(f"param_limit must be in [1, {catalog.PARAM_CAP}]")
+    if (isinstance(param_limit, bool) or not isinstance(param_limit, int)
+            or not 1 <= param_limit <= catalog.PARAM_CAP):
+        raise ValueError(f"param_limit must be an int in [1, {catalog.PARAM_CAP}], not {param_limit!r}")
     reports: list[VerificationReport] = []
     for entry in catalog.registry().values():
         if not entry.verifiable:

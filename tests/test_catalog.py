@@ -72,6 +72,29 @@ def test_term_and_key_errors():
         catalog.partial_sum(CatalogKey("CL2_ACCEL_8"), 5)  # representation
 
 
+NOT_INTS = [5.0, True, "5"]
+
+
+@pytest.mark.parametrize("bad", NOT_INTS, ids=repr)
+def test_family_param_must_be_an_int(bad):
+    # a float or bool param used to run (closed_form of THM_21(5.0) gave 0.2,
+    # THM_21(True) ran as m = 1) or fail inside math.comb
+    key = CatalogKey("THM_21", bad)
+    for call in (catalog.closed_form, catalog.assembly, lambda k: catalog.evaluate(k, 1e-10),
+                 lambda k: catalog.term(k, 1), lambda k: catalog.tail_bound(k, 1)):
+        with pytest.raises(ValueError, match="must be an int"):
+            call(key)
+
+
+@pytest.mark.parametrize("bad", NOT_INTS, ids=repr)
+@pytest.mark.parametrize("call", [catalog.term, catalog.tail_bound, catalog.partial_sum, catalog.assembled_sum],
+                         ids=lambda f: f.__name__)
+def test_depth_argument_must_be_an_int(call, bad):
+    for key in (CatalogKey("SUM_22"), CatalogKey("THM_21", 3)):
+        with pytest.raises(ValueError, match="must be an int"):
+            call(key, bad)
+
+
 # --- closed forms -----------------------------------------------------------------
 
 def test_closed_form_examples():

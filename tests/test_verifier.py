@@ -123,6 +123,17 @@ def test_verify_all_rejects_param_limit_above_cap_before_work(monkeypatch):
         verify_all(1e-3, catalog.PARAM_CAP + 1)
 
 
+@pytest.mark.parametrize("bad", [5.0, True, "5"], ids=repr)
+def test_verify_all_rejects_a_param_limit_that_is_not_an_int(bad, monkeypatch):
+    # verify_all(1e-10, True) used to return the 34 reports of param_limit 1
+    def no_verify(*args, **kwargs):
+        raise AssertionError("verify ran before param_limit was checked")
+
+    monkeypatch.setattr(verifier, "verify", no_verify)
+    with pytest.raises(ValueError, match="must be an int"):
+        verify_all(1e-10, bad)
+
+
 def test_verify_all_report_count():
     reports = verify_all(1e-9, 12)
     scalars = sum(1 for e in catalog.registry().values() if e.verifiable and not e.is_family)
