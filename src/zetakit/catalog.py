@@ -201,6 +201,7 @@ def _binom_family(id: str, paper_eq: str, description: str, *, top_offset: int, 
     times (1 - 4^-n) when weighted; inv_pow is 4 or 16."""
     ratio = 1.0 / inv_pow
     q_star = 0.5 if inv_pow == 4 else 0.2
+    k_star = q_star / ratio  # cap(n) <= q_star where grow / shrink <= k_star (unweighted)
     # term_fn's denominator is n << (shift * n): n inv_pow^n, times 4^n when weighted
     shift = inv_pow.bit_length() - 1 + (2 if weighted else 0)
 
@@ -215,20 +216,55 @@ def _binom_family(id: str, paper_eq: str, description: str, *, top_offset: int, 
         # int / int is correctly rounded (OverflowError past float range)
         return zeta_even_float(n) * (num / den)
 
+    def cap_at(m: int, n: int) -> float:
+        """cap(n): bounds t(j+1)/t(j) for j >= n and never increases in n.
+
+        At T = 2n + top_offset it is grow / shrink * ratio, times the weight
+        when weighted, with grow = (T+2)(T+1) and shrink = (T+2-m)(T+1-m).
+        That is, bit for bit, the float ratio * (T+2) * (T+1) / shrink: ratio
+        is a power of two and grow < 2^53, so the product is exactly ratio *
+        grow, and dividing it rounds as the correctly rounded int quotient
+        grow / shrink does, scaled by ratio.  grow reaches 2^53 only past n =
+        4.7e7, where every term is 0.0 and cap < ratio * (1 + 2e-5).
+        grow / shrink falls strictly as n grows, the weight tuple falls, and
+        rounding is monotone.
+        """
+        top = 2 * n + top_offset
+        cap = (top + 2) * (top + 1) / ((top + 2 - m) * (top + 1 - m)) * ratio
+        return cap * _WEIGHT[n] if weighted and n < ZETA_EVEN_LEN else cap
+
+    def closure_point(param: int, N: int) -> int:
+        """M, the first n > N with a nonzero binomial and cap(n) <= q_star.
+
+        The float test holds from M on, because cap never increases.  The
+        walk starts at the floor of the larger real root y = T + 3/2 of
+        (y+1/2)(y-1/2) = k_star ((y-m)^2 - 1/4), where cap without the weight
+        (which is above 1) equals q_star.  Below that start the real cap
+        exceeds q_star by at least one step's fall, far more than a rounding,
+        so the start is at most M (one step short for most parameters).
+        """
+        m = choose(param)
+        y = (k_star * m + math.sqrt(k_star * m * m + (k_star - 1.0) ** 2 / 4.0)) / (k_star - 1.0)
+        n = max(N + 1, (m - top_offset + 1) // 2, int((y - 1.5 - top_offset) / 2.0))
+        while cap_at(m, n) > q_star:
+            n += 1
+        return n
+
     def scan_fn(param, N, size, limit, last):
         """The family's scan: a head loop, a replay of the head, then a steady loop.
 
         math.comb runs once; later binomials follow exactly from C(T+2, m) =
-        C(T, m) grow / shrink, grow = (T+2)(T+1), shrink = (T+2-m)(T+1-m).
-        term_fn's quotient num / (n << shift*n) is correctly rounded, and a
-        power-of-two scale commutes with rounding among normal floats, so
-        ldexp(num / n, -shift*n) equals it above the least normal (a
+        C(T, m) grow / shrink, with grow = (u+1) u and shrink = (v+1) v for
+        u = T+1 and v = T+1-m.  term_fn's quotient num / (n << shift*n) is
+        correctly rounded, and sc = 2^(-shift*n) is a float down to 2^-1074
+        (each step multiplies it by 2^-shift exactly; below that it is 0.0).
+        A float times a power of two is exact wherever the product is normal,
+        so num / n * sc is term_fn's quotient above the least normal (a
         subnormal can round up to that); otherwise, or when num / n
         overflows, term_fn's division runs.
 
-        M is the first n > N with a nonzero binomial and cap(n) <= q_star;
-        cap(n) bounds |t(j+1)/t(j)| for j >= n and is nonincreasing.  The head
-        loop computes N..M; the replay sums N..M-1 with tail(M-1) = t(M)/(1 -
+        M = closure_point(param, N) is found before any term.  The head loop
+        computes N..M; the replay sums N..M-1 with tail(M-1) = t(M)/(1 -
         cap(M)) and tail(n) = t(n+1) + tail(n+1) below (float sums of
         non-negative terms, so non-increasing).  The leading zero binomials
         share one tail, so the stop rule passes or fails them alike.  Past M
@@ -236,40 +272,33 @@ def _binom_family(id: str, paper_eq: str, description: str, *, top_offset: int, 
         closes with tail 0 (the true tail is below 1e-300).  Every term is
         zeta(2n) C(.,.) (1 - 4^-n)^{0,1} / (n inv_pow^n) with n >= 1, so it,
         each tail and each sum is +0.0 or above and takes no abs() (abs(x) is
-        x there, bit for bit).  The term body stays inline: a call costs more.
+        x there, bit for bit).  zeta(2n) and the weight are 1.0 past their
+        tables, and 1.0 * q is q.  The term body stays inline: a call costs
+        more.
         """
         m = choose(param)
-        n = first = max(N, (m - top_offset + 1) // 2)  # first n >= N with 2n + top_offset >= m
-        top = 2 * n + top_offset
-        c = math.comb(top, m)
+        first = max(N, (m - top_offset + 1) // 2)  # first n >= N with 2n + top_offset >= m
+        M = closure_point(param, N)
+        u = 2 * first + top_offset + 1
+        v = u - m
+        c = math.comb(u - 1, m)
         zetas, weights, known = zeta_even_table(), _WEIGHT, ZETA_EVEN_LEN
-        ldexp, tiny, floor, down = math.ldexp, _MIN_NORMAL, TAIL_FLOOR, -shift
+        tiny, floor = _MIN_NORMAL, TAIL_FLOOR
+        sc, step = math.ldexp(1.0, -shift * first), 0.5 ** shift
         # terms through M; a zero first stands for the zero block N..first-1
         head = [0.0] if first > N else []
-        while True:
-            zeta = zetas[n] if n < known else 1.0  # zeta(2n) and the weight are 1.0 past the tables
+        for n in range(first, M + 1):
             num = (c << 2 * n) - c if weighted else c  # c (4^n - 1)
             try:
-                q = ldexp(num / n, down * n)
+                q = num / n * sc
             except OverflowError:
                 q = 0.0
             if q <= tiny:
                 q = num / (n << shift * n)
-            x = zeta * q
-            grow, shrink = (top + 2) * (top + 1), (top + 2 - m) * (top + 1 - m)
-            # = ratio * (top+2) * (top+1) / shrink bit for bit: ratio is a power
-            # of two and grow < 2^53, so that product is exactly ratio * grow,
-            # and dividing it rounds as grow / shrink (one correctly rounded
-            # int quotient) does, scaled by ratio.  grow reaches 2^53 only past
-            # n = 4.7e7, where every term is 0.0 and cap < ratio * (1 + 2e-5).
-            cap = grow / shrink * ratio
-            if weighted and n < known:
-                cap *= weights[n]
-            c = c * grow // shrink
-            n, top = n + 1, top + 2
-            head.append(x)
-            if n > N + 1 and cap <= q_star:
-                break
+            head.append(zetas[n] * q if n < known else q)
+            c = c * ((u + 1) * u) // ((v + 1) * v)
+            u, v, sc = u + 2, v + 2, sc * step
+        x, cap = head[-1], cap_at(m, M)
         tails = list(accumulate(reversed(head[1:-1]), initial=x / (1.0 - cap)))
         tails.reverse()
         j, zeros = N, first - N
@@ -289,22 +318,21 @@ def _binom_family(id: str, paper_eq: str, description: str, *, top_offset: int, 
                 yield j, t, hi + lo, tail
             j += 1
         t = x
-        while True:
-            zeta = zetas[n] if n < known else 1.0
+        for n in count(M + 1):
             num = (c << 2 * n) - c if weighted else c
             try:
-                q = ldexp(num / n, down * n)
+                q = num / n * sc
             except OverflowError:
                 q = 0.0
             if q <= tiny:
                 q = num / (n << shift * n)
-            x = zeta * q
-            grow, shrink = (top + 2) * (top + 1), (top + 2 - m) * (top + 1 - m)
-            cap = grow / shrink * ratio
+            x = zetas[n] * q if n < known else q
+            grow, shrink = (u + 1) * u, (v + 1) * v
+            cap = grow / shrink * ratio  # cap_at(m, n), inline
             if weighted and n < known:
                 cap *= weights[n]
             c = c * grow // shrink
-            n, top = n + 1, top + 2
+            u, v, sc = u + 2, v + 2, sc * step
             if j > last:
                 return
             s = hi + t
@@ -315,6 +343,7 @@ def _binom_family(id: str, paper_eq: str, description: str, *, top_offset: int, 
                 yield j, t, hi + lo, tail
             j, t = j + 1, x
 
+    scan_fn.closure_point = closure_point  # the M of a scan from N
     return IdentityDescriptor(id=id, paper_eq=paper_eq, status=status, description=description,
                               term_fn=term_fn, scan_fn=scan_fn, **fields)
 

@@ -11,6 +11,7 @@ import ast
 import hashlib
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -176,6 +177,59 @@ def test_family_table_matches_term_fn_up_to_cap(id_):
         assert list(islice(_steps(entry, p, entry.start_index), length)) == expected, p
 
 
+@pytest.mark.parametrize("id_", FAMILY_IDS)
+def test_family_closure_point_is_the_first_n_rule(id_):
+    # the scan finds M before computing any term, which rests on the float
+    # cap never increasing in n: check that premise with Reference's cap in a
+    # plain loop from the first nonzero binomial to past M, then check the
+    # scan's M against the first-n rule from several N around first and M
+    entry = catalog.get(id_)
+    q_star = 0.2 if FAMILY_SHAPES[id_][2] == 16 else 0.5
+    start = entry.start_index
+    for p in range(entry.param_min, catalog.PARAM_CAP + 1):
+        ref = Reference(CatalogKey(id_, p))
+        first = next(n for n in count(start) if ref.nonzero(n))
+        caps = []
+        while len(caps) < 3 or caps[-3] > q_star:  # through two past M from first
+            caps.append(ref._cap(first + len(caps)))
+        assert all(c1 <= c0 for c0, c1 in zip(caps, caps[1:])), p
+        closure = first + next(i for i, c in enumerate(caps) if c <= q_star)
+        for N in {start, first - 1, first, first + 1, closure - 1, closure, closure + 1}:
+            if N < start:
+                continue
+            n = max(N + 1, first)
+            while caps[n - first] > q_star:
+                n += 1
+            assert entry.scan_fn.closure_point(p, N) == n, (p, N)
+
+
+@pytest.mark.parametrize("b", (2, 4))
+def test_running_scale_is_ldexp_and_term_fn_quotient(b):
+    # the family scan keeps sc = 2^(-b n) by one multiply by 2^-b per step
+    # and takes num / n * sc for term_fn's num / (n << b n) above the least
+    # normal float (below it, the scan falls back to that division)
+    step = 0.5 ** b
+    for first in (1, 2, 17, 268, 269, 537, 538):
+        sc, n = math.ldexp(1.0, -b * first), first
+        while sc != 0.0:
+            assert sc.hex() == math.ldexp(1.0, -b * n).hex(), (first, n)
+            sc, n = sc * step, n + 1
+        assert b * n > 1074, (first, n)
+    rng = random.Random(b)
+    tiny, checked = math.ldexp(1.0, -1022), 0
+    for _ in range(20000):
+        n = rng.randrange(1, 1200 // b)
+        # num / n * 2^(-b n) near 2^e, for e from the subnormals to near 1
+        e = rng.randrange(-1080, 8)
+        bits = max(1, min(1023, e + b * n + n.bit_length()))
+        num = rng.getrandbits(bits) | 1 << (bits - 1)
+        scaled = num / n * math.ldexp(1.0, -b * n)
+        if scaled >= tiny:
+            assert scaled.hex() == math.ldexp(num / n, -b * n).hex() == (num / (n << b * n)).hex(), (num, n)
+            checked += 1
+    assert checked > 5000
+
+
 def _hex(steps):
     return [(t.hex(), tail.hex()) for t, tail in steps]
 
@@ -208,10 +262,11 @@ def _library_streams(requests):
     return [ast.literal_eval(line) for line in out.stdout.splitlines()]
 
 
-# where the stream's ldexp(num / n, ...) shortcut is not term_fn's quotient and
+# where the stream's scaled quotient num / n * 2^(-b n) is not term_fn's and
 # it falls back to term_fn's division: num / n overflows (SUM_38(256) from
 # n = 700, where num has 2722+ bits), or the term is subnormal or 0.0.  At
-# THM_21(8), n = 540, ldexp's own rounding into the subnormals is one ulp off.
+# THM_21(8), n = 540, a scaling's own rounding into the subnormals is one ulp
+# off, and the running scale 2^(-b n) is itself 0.0 past b n = 1074.
 FALLBACKS = [(CatalogKey("SUM_38", 256), 700, 720),
              (CatalogKey("THM_21", 1), 500, 560),
              (CatalogKey("THM_29", 1), 250, 290),
