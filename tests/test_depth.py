@@ -323,6 +323,38 @@ def test_family_stream_from_each_n_through_zero_block(key):
         assert _hex(islice(_steps(catalog.get(key.id), key.param, N), len(expected))) == expected, N
 
 
+def _scan_lines():
+    """float.hex lines of each family scan_fn(p, N, 1.0, limit, last), for N
+    at the start, inside the zero block and at its end, and for last below
+    N, inside the zero block, just before first, between first and M - 1,
+    at M - 1, at M and past M (M the scan's closure point from N)."""
+    lines = []
+    for id_ in FAMILY_IDS:
+        entry = catalog.get(id_)
+        for p in sorted({entry.param_min, 2, 31, 64, catalog.PARAM_CAP}):
+            ref = Reference(CatalogKey(id_, p))
+            block_end = next(n for n in count(entry.start_index) if ref.nonzero(n))
+            for N in sorted({entry.start_index, (entry.start_index + block_end) // 2, block_end}):
+                first = max(N, block_end)
+                M = entry.scan_fn.closure_point(p, N)
+                lasts = {N - 1, N, (N + first) // 2, first - 1, first, (first + M) // 2, M - 1, M, M + 1, M + 4}
+                for limit in (math.inf, 1e-13):
+                    for last in sorted(lasts):
+                        steps = " ".join(f"{j}:{t.hex()}:{s.hex()}:{tail.hex()}"
+                                         for j, t, s, tail in entry.scan_fn(p, N, 1.0, limit, last))
+                        lines.append(f"{id_}({p}) {N} {limit!r} {last} {steps}")
+    return lines
+
+
+def test_family_scan_bits_are_pinned_at_each_last():
+    # the term cap of a scan cuts its yields at last wherever last falls:
+    # below the start, in the zero block, in the head, at M and past it
+    lines = _scan_lines()
+    assert len(lines) == 994
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "53ab70e678a4ebc4b5a34eed961b0caaa9303f007461773c1e57705824d909f4"
+
+
 def test_thm29_stops_inside_zero_block():
     # C(2n, m) = 0 for n < m/2 and the first nonzero term is below 1e-20, so
     # the tail at n = 1 already clears 1e-13 / 2

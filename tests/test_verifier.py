@@ -463,6 +463,24 @@ def test_clausen_route_bits_are_pinned():
     assert digest == "00531cf47f6b2eeb3363431fe713239fff36b381c2f24450193c69db503ac1b1"
 
 
+# Intervals on which every registered integrand stops after level 3 or 4
+# (65 or 129 evaluations), or runs all 11 levels (16 385): -3..7 holds a
+# singular point of each, and 0..pi holds one inside for log_cos
+TANH_SINH_INTERVALS = [(0.0, PI / 6), (0.0, PI), (0.1, 1.0), (1.0, 1.001), (-3.0, 7.0)]
+
+
+def test_tanh_sinh_bits_are_pinned():
+    lines, counts = [], []
+    for id_, (f, _) in verifier._INTEGRANDS.items():
+        for a, b in TANH_SINH_INTERVALS:
+            q = tanh_sinh(f, a, b)
+            counts.append(q.evaluations)
+            lines.append(f"{id_} {a!r} {b!r} {q.value.hex()} {q.error_estimate.hex()} {q.evaluations}")
+    assert sorted(set(counts)) == [65, 129, 16385] and counts.count(16385) == 8
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "0e773d2a859a5eec38c01555761e1844e988e82c1e6191e3f4252a44a06935a1"
+
+
 # --- records --------------------------------------------------------------------
 
 def test_records_are_frozen():
