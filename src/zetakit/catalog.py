@@ -16,12 +16,13 @@ Clausen evaluator keeps its own table); they are not scalar identities.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from functools import lru_cache
-from itertools import accumulate, count, islice
+from itertools import accumulate, islice
 from typing import Callable, Iterator, Optional
 
-from .exact import pi_poly, zigzag
+from .exact import check_int, pi_poly, zigzag
 from .specfun import (
     EvalResult,
     ZETA2,
@@ -76,7 +77,7 @@ class CatalogKey(namedtuple("CatalogKey", "id param", defaults=(None,))):
 
 class IdentityDescriptor(namedtuple(
     "IdentityDescriptor",
-    "id paper_eq status description start_index param_name param_min param_domain targets"
+    "id paper_eq description start_index param_name param_min param_domain targets"
     " term_fn closed_fn printed_closed_fn scan_fn offset_fn scale_fn",
     defaults=(1, None, 1, "", (), None, None, None, None, None, None),
 )):
@@ -86,9 +87,9 @@ class IdentityDescriptor(namedtuple(
     printed_closed_fn, offset_fn and scale_fn are ClosedFns, and the
     assembled value is offset + scale * series.  scan_fn is the entry's one
     summation loop: the generator scan_fn(param, N, size, limit, last) adds
-    term_fn(param, n) for n = N, N+1, ... to a compensated sum and yields
-    (n, term, sum, tail(n)) wherever size * (tail(n) + TAIL_FLOOR) <= limit,
-    until n passes last; tail(n) bounds |sum_{j>n} term_fn(param, j)|.
+    term_fn(param, n) for n = N, ..., last (an int) to a compensated sum and
+    yields (n, term, sum, tail(n)) wherever size * (tail(n) + TAIL_FLOOR) <=
+    limit; tail(n) bounds |sum_{j>n} term_fn(param, j)|.
     """
 
     __slots__ = ()
@@ -104,9 +105,17 @@ class IdentityDescriptor(namedtuple(
     def is_family(self) -> bool:
         return self.param_name is not None
 
+    @property
+    def status(self) -> str:
+        """Derived: "corrected" when the published variant is kept apart,
+        "representation" when the entry is not summable, else "as-printed"."""
+        if self.printed_closed_fn is not None:
+            return "corrected"
+        return "as-printed" if self.verifiable else "representation"
+
     def stream(self, param: int | None, N: int) -> Iterator[tuple[int, float, float, float]]:
-        """scan_fn from N, yielding at every n."""
-        return self.scan_fn(param, N, 1.0, math.inf, math.inf)
+        """scan_fn from N, yielding at every n (last is sys.maxsize: no cap)."""
+        return self.scan_fn(param, N, 1.0, math.inf, sys.maxsize)
 
 
 IdentitySummary = namedtuple("IdentitySummary", "id paper_eq status params description")
@@ -164,20 +173,18 @@ def _zeta3(scale: float, offset: ClosedFn | None = None) -> dict:
 
 
 def _series(id: str, paper_eq: str, description: str, term_fn: TermFn,
-            tail: Callable[[int], float], *, status: str = "as-printed", **fields) -> IdentityDescriptor:
+            tail: Callable[[int], float], **fields) -> IdentityDescriptor:
     """A scalar entry: each term from term_fn, each tail from the O(1) bound tail(N)."""
 
     def scan_fn(param, N, size, limit, last):
         total = CompensatedSum()
-        for n in count(N):
-            if n > last:
-                return
+        for n in range(N, last + 1):
             t, tail_n = term_fn(param, n), tail(n)
             total.add(t)
             if size * (tail_n + TAIL_FLOOR) <= limit:
                 yield n, t, total.value, tail_n
 
-    return IdentityDescriptor(id=id, paper_eq=paper_eq, status=status, description=description,
+    return IdentityDescriptor(id=id, paper_eq=paper_eq, description=description,
                               term_fn=term_fn, scan_fn=scan_fn, **fields)
 
 
@@ -196,7 +203,7 @@ def _scalar_entry(id: str, paper_eq: str, description: str, *, p: Callable[[int]
 
 
 def _binom_family(id: str, paper_eq: str, description: str, *, top_offset: int, choose: Callable[[int], int],
-                  inv_pow: int, weighted: bool, status: str = "as-printed", **fields) -> IdentityDescriptor:
+                  inv_pow: int, weighted: bool, **fields) -> IdentityDescriptor:
     """A family sum_n zeta(2n) C(2n + top_offset, choose(param)) / (n inv_pow^n),
     times (1 - 4^-n) when weighted; inv_pow is 4 or 16."""
     ratio = 1.0 / inv_pow
@@ -264,12 +271,13 @@ def _binom_family(id: str, paper_eq: str, description: str, *, top_offset: int, 
         overflows, term_fn's division runs.
 
         M = closure_point(param, N) is found before any term.  The head loop
-        computes N..M; the replay sums N..M-1 with tail(M-1) = t(M)/(1 -
-        cap(M)) and tail(n) = t(n+1) + tail(n+1) below (float sums of
-        non-negative terms, so non-increasing).  The leading zero binomials
-        share one tail, so the stop rule passes or fails them alike.  Past M
-        the steady loop closes tail(n) at n+1; a term that underflows to 0.0
-        closes with tail 0 (the true tail is below 1e-300).  Every term is
+        computes first..M; the replay sums first..M-1 with tail(M-1) =
+        t(M)/(1 - cap(M)) and tail(n) = t(n+1) + tail(n+1) below (float sums
+        of non-negative terms, so non-increasing).  The leading zero binomials
+        N..first-1 share tail(first-1), so the stop rule passes or fails them
+        alike, and their sum is +0.0.  last bounds every loop but the head's.
+        Past M the steady loop closes tail(n) at n+1; a term that underflows
+        to 0.0 closes with tail 0 (the true tail is below 1e-300).  Every term is
         zeta(2n) C(.,.) (1 - 4^-n)^{0,1} / (n inv_pow^n) with n >= 1, so it,
         each tail and each sum is +0.0 or above and takes no abs() (abs(x) is
         x there, bit for bit).  zeta(2n) and the weight are 1.0 past their
@@ -285,8 +293,7 @@ def _binom_family(id: str, paper_eq: str, description: str, *, top_offset: int, 
         zetas, weights, known = zeta_even_table(), _WEIGHT, ZETA_EVEN_LEN
         tiny, floor = _MIN_NORMAL, TAIL_FLOOR
         sc, step = math.ldexp(1.0, -shift * first), 0.5 ** shift
-        # terms through M; a zero first stands for the zero block N..first-1
-        head = [0.0] if first > N else []
+        head = []  # t(first)..t(M)
         for n in range(first, M + 1):
             num = (c << 2 * n) - c if weighted else c  # c (4^n - 1)
             try:
@@ -299,26 +306,21 @@ def _binom_family(id: str, paper_eq: str, description: str, *, top_offset: int, 
             c = c * ((u + 1) * u) // ((v + 1) * v)
             u, v, sc = u + 2, v + 2, sc * step
         x, cap = head[-1], cap_at(m, M)
-        tails = list(accumulate(reversed(head[1:-1]), initial=x / (1.0 - cap)))
-        tails.reverse()
-        j, zeros = N, first - N
-        if zeros and size * (tails[0] + floor) > limit:
-            del head[0], tails[0]  # no zero passes: step over the block
-            j = first
-        elif zeros:
-            head[:1], tails[:1] = [0.0] * zeros, [tails[0]] * zeros
+        tails = list(accumulate(reversed(head[:-1]), initial=x / (1.0 - cap)))
+        tails.reverse()  # tail(first-1)..tail(M-1)
+        tail = tails.pop(0)
+        if size * (tail + floor) <= limit:  # the zero block N..first-1 shares tail(first-1)
+            for j in range(N, min(first, last + 1)):
+                yield j, 0.0, 0.0, tail
         hi = lo = 0.0  # a CompensatedSum, inlined: these loops are nearly all of a deep verify_all
-        for t, tail in zip(head, tails):
-            if j > last:
-                return
+        for j, (t, tail) in enumerate(zip(head[:max(0, last + 1 - first)], tails), first):
             s = hi + t
             lo += (hi - s) + t if hi >= t else (t - s) + hi
             hi = s
             if size * (tail + floor) <= limit:
                 yield j, t, hi + lo, tail
-            j += 1
         t = x
-        for n in count(M + 1):
+        for n in range(M + 1, last + 2):  # yields j = n - 1
             num = (c << 2 * n) - c if weighted else c
             try:
                 q = num / n * sc
@@ -333,18 +335,16 @@ def _binom_family(id: str, paper_eq: str, description: str, *, top_offset: int, 
                 cap *= weights[n]
             c = c * grow // shrink
             u, v, sc = u + 2, v + 2, sc * step
-            if j > last:
-                return
             s = hi + t
             lo += (hi - s) + t if hi >= t else (t - s) + hi
             hi = s
             tail = x / (1.0 - cap)
             if size * (tail + floor) <= limit:
-                yield j, t, hi + lo, tail
-            j, t = j + 1, x
+                yield n - 1, t, hi + lo, tail
+            t = x
 
     scan_fn.closure_point = closure_point  # the M of a scan from N
-    return IdentityDescriptor(id=id, paper_eq=paper_eq, status=status, description=description,
+    return IdentityDescriptor(id=id, paper_eq=paper_eq, description=description,
                               term_fn=term_fn, scan_fn=scan_fn, **fields)
 
 
@@ -383,7 +383,7 @@ def _apery_term(_param: int | None, n: int) -> float:
 
 
 def _representation(id: str, paper_eq: str, description: str) -> IdentityDescriptor:
-    return IdentityDescriptor(id=id, paper_eq=paper_eq, status="representation", description=description,
+    return IdentityDescriptor(id=id, paper_eq=paper_eq, description=description,
                               param_domain="theta in (-2pi, 2pi)")
 
 
@@ -559,7 +559,6 @@ def _build_registry() -> dict[str, IdentityDescriptor]:
         param_name="k", param_min=1, param_domain="integer k >= 1",
         top_offset=1, choose=lambda k: 2 * k, inv_pow=4, weighted=False,
         closed_fn=lambda k: _sum28_closed(k, corrected=True),
-        status="corrected",
         printed_closed_fn=lambda k: _sum28_closed(k, corrected=False),
     ))
 
@@ -601,7 +600,6 @@ def _build_registry() -> dict[str, IdentityDescriptor]:
         "sum_{n>=1} zeta(2n)(2n-1)(2n-2)/16^n = 1 - pi^3/32 (published as 1 - pi^3/96)",
         p=lambda n: (2.0 * n - 1) * (2.0 * n - 2), ratio=1 / 16,
         closed_fn=lambda _p: pi_poly({0: (1, 1), 3: (-1, 32)}),
-        status="corrected",
         printed_closed_fn=lambda _p: pi_poly({0: (1, 1), 3: (-1, 96)}),
     ))
     entries.append(_scalar_entry(
@@ -677,12 +675,6 @@ def check_tolerance(tolerance: float) -> None:
         raise ValueError(f"tolerance must be finite and >= {MIN_TOLERANCE:g}")
 
 
-def _check_int(name: str, value) -> None:
-    """Raise ValueError unless value is an int; a bool is not one here."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an int, not {value!r}")
-
-
 def _resolve(key: CatalogKey) -> tuple[IdentityDescriptor, int | None]:
     entry = get(key.id)
     if not entry.verifiable:
@@ -690,7 +682,7 @@ def _resolve(key: CatalogKey) -> tuple[IdentityDescriptor, int | None]:
     if entry.is_family:
         if key.param is None:
             raise ValueError(f"{key.id} needs parameter {entry.param_name}")
-        _check_int(f"{key.id} parameter {entry.param_name}", key.param)
+        check_int(f"{key.id} parameter {entry.param_name}", key.param)
         if not (entry.param_min <= key.param <= PARAM_CAP):
             raise ValueError(
                 f"{key.id} parameter {entry.param_name} must be in [{entry.param_min}, {PARAM_CAP}]"
@@ -704,7 +696,7 @@ def _resolve(key: CatalogKey) -> tuple[IdentityDescriptor, int | None]:
 def term(key: CatalogKey, n: int) -> float:
     """The n-th summand of the identity (bare series, no offset/scale)."""
     entry, param = _resolve(key)
-    _check_int("n", n)
+    check_int("n", n)
     if n < entry.start_index:
         raise ValueError(f"{key.id} starts at n = {entry.start_index}")
     return entry.term_fn(param, n)
@@ -731,7 +723,7 @@ def tail_bound(key: CatalogKey, N: int) -> float:
     sums it brackets are themselves compared in 64-bit arithmetic.
     """
     entry, param = _resolve(key)
-    _check_int("N", N)
+    check_int("N", N)
     if N < entry.start_index:
         raise ValueError(f"N must be >= start index {entry.start_index}")
     return next(entry.stream(param, N))[3] + TAIL_FLOOR
@@ -787,7 +779,7 @@ def depth_for(key: CatalogKey, tolerance: float) -> int:
 def partial_sum(key: CatalogKey, N: int) -> EvalResult:
     """Compensated bare-series sum of terms start_index..N with its tail bound."""
     start = _resolve(key)[0].start_index
-    _check_int("N", N)
+    check_int("N", N)
     if N < start:
         raise ValueError(f"N must be >= start index {start}")
     _, value, bound = next(islice(partial_sums(key), N - start, None))

@@ -11,7 +11,9 @@ zeta(2n), beta(2n+1) and zeta_E(2k) are read off cot and sec, so each of
 their floats is one correctly rounded integer quotient times a power of pi,
 which pi_poly evaluates; PI_ERR is how far math.pi falls short of pi.
 `fractions.Fraction` appears only at the API boundary: the functions that
-return one import it when called.
+return one import it when called.  check_int, the package's one rule that an
+integer argument is an int and not a bool, lives here because specfun,
+catalog and verifier all import this module.
 
 B_1 = -1/2 (the z/(e^z - 1) generating function); the rival B_1 = +1/2
 convention is deliberately not used anywhere.
@@ -32,6 +34,7 @@ if TYPE_CHECKING:
 __all__ = [
     "PI_ERR",
     "PI_REL_ERR",
+    "check_int",
     "pi_poly",
     "PiPower",
     "LaurentCoeff",
@@ -50,6 +53,12 @@ __all__ = [
 
 PI_ERR = 1.224646799147355e-16  # pi - math.pi = 1.2246467991473532e-16, rounded up
 PI_REL_ERR = 3.9e-17  # (pi - math.pi)/pi = 3.8982e-17, rounded up
+
+
+def check_int(name: str, value) -> None:
+    """Raise ValueError unless value is an int; a bool is not one here."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, not {value!r}")
 
 
 def pi_poly(coeffs: dict[int, tuple[int, int]]) -> float:

@@ -54,7 +54,10 @@ def tanh_sinh(f: Callable[[float], float], a: float, b: float) -> QuadratureResu
     double-exponentially close to the endpoints, and any node at which f is
     not finite or raises ValueError or ZeroDivisionError (a node rounded
     onto a singular endpoint) is dropped: its weight is already below the
-    noise floor.  The error estimate is the last level-to-level difference.
+    noise floor.  One loop runs the levels: level 0 takes the nodes t = 1, 2,
+    ..., _T_MAX (step h = 1) besides the midpoint, and each later level halves
+    h and adds its odd multiples, until the level-to-level difference, the
+    error estimate, meets _TARGET from level 3 on or _MAX_LEVEL is done.
     """
     if not -math.inf < a < b < math.inf:
         raise ValueError("tanh_sinh requires finite a < b")
@@ -74,30 +77,20 @@ def tanh_sinh(f: Callable[[float], float], a: float, b: float) -> QuadratureResu
         return 0
 
     acc = CompensatedSum()
-    # level 0: h = 1, all integer nodes
-    evals = eval_at(mid, half * 0.5 * math.pi, acc)
-    k = 1
-    while k <= _T_MAX:
-        xm, xp, w = _node(float(k), a, b, half)
-        evals += eval_at(xm, w, acc)
-        evals += eval_at(xp, w, acc)
-        k += 1
-    h = 1.0
-    value = h * acc.value
-    err = math.inf
-
-    for level in range(1, _MAX_LEVEL + 1):
-        h *= 0.5
-        # new nodes sit at odd multiples of the refined step
+    evals = eval_at(mid, half * 0.5 * math.pi, acc)  # the node t = 0
+    h = stride = 1.0  # level 0 takes every multiple of h up to _T_MAX
+    for level in range(_MAX_LEVEL + 1):
         t = h
         while t <= _T_MAX:
             xm, xp, w = _node(t, a, b, half)
             evals += eval_at(xm, w, acc)
             evals += eval_at(xp, w, acc)
-            t += 2.0 * h
+            t += stride
         new_value = h * acc.value
-        err = abs(new_value - value)
+        err = abs(new_value - value) if level else math.inf
         value = new_value
         if level >= 3 and err <= _TARGET * max(1.0, abs(value)):
             break
+        h *= 0.5
+        stride = 2.0 * h  # each later level adds the odd multiples of its step
     return QuadratureResult(value, err, evals)

@@ -16,7 +16,7 @@ import sys
 from collections import namedtuple
 from functools import lru_cache
 
-from .exact import PI_ERR, PI_REL_ERR, bernoulli_pair, pi_poly, zigzag
+from .exact import PI_ERR, PI_REL_ERR, bernoulli_pair, check_int, pi_poly, zigzag
 from .summation import CompensatedSum
 
 __all__ = [
@@ -238,6 +238,7 @@ def polygamma(order: int, z: float) -> EvalResult:
     psi_n(z) = (-1)^(n+1) n! zeta(n+1, z).  From order 171, whose n! is past the
     float range, the product takes n! >> e and ldexp restores the factor 2^e.
     """
+    check_int("order", order)
     if order < 1:
         raise ValueError("polygamma requires order >= 1")
     if not z > 0.0:
@@ -267,6 +268,7 @@ def zeta_e_weighted(k: int) -> EvalResult:
     Otherwise it is dirichlet_beta(2k+1): pi/4, or 1.0 once that coefficient
     turns subnormal.
     """
+    check_int("k", k)
     if k < 0:
         raise ValueError("zeta_e_weighted requires k >= 0")
     if k == 0 or k > 308:

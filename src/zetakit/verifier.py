@@ -12,7 +12,7 @@ from typing import Callable
 from . import catalog
 from .catalog import CatalogKey, InconclusiveError
 from .quadrature import QuadratureResult, tanh_sinh
-from .exact import PI_ERR
+from .exact import PI_ERR, check_int
 from .specfun import DIRECT_CL2_TARGET, catalan, cl2_drift, clausen_cl2
 from .summation import CompensatedSum
 
@@ -82,10 +82,11 @@ def verify(key: CatalogKey, tolerance: float, *, include_printed: bool = True) -
         lhs = catalog.evaluate(key, tolerance)
     except InconclusiveError:
         return [inconclusive_report(key, tolerance)]
-    reports = [_report(key, lhs.value, lhs.error_bound, catalog.closed_form(key),
+    entry = catalog.get(key.id)  # evaluate has validated the key
+    reports = [_report(key, lhs.value, lhs.error_bound, entry.closed_fn(key.param),
                        lhs.terms_used, tolerance, "corrected")]
-    if catalog.get(key.id).status == "corrected" and include_printed:
-        reports.append(_report(key, lhs.value, lhs.error_bound, catalog.printed_closed_form(key),
+    if include_printed and entry.printed_closed_fn is not None:
+        reports.append(_report(key, lhs.value, lhs.error_bound, entry.printed_closed_fn(key.param),
                                lhs.terms_used, tolerance, "printed"))
     return reports
 
@@ -106,8 +107,8 @@ def verify_all(tolerance: float, param_limit: int) -> list[VerificationReport]:
     order of this list is the citation order regardless of how callers
     schedule the work.
     """
-    if (isinstance(param_limit, bool) or not isinstance(param_limit, int)
-            or not 1 <= param_limit <= catalog.PARAM_CAP):
+    check_int("param_limit", param_limit)
+    if not 1 <= param_limit <= catalog.PARAM_CAP:
         raise ValueError(f"param_limit must be an int in [1, {catalog.PARAM_CAP}], not {param_limit!r}")
     reports: list[VerificationReport] = []
     for entry in catalog.registry().values():

@@ -198,8 +198,8 @@ def test_verify_inconclusive_exit_code(capsys, monkeypatch):
 
 
 def test_verify_wrong_closed_form_fails(capsys, monkeypatch):
-    closed_form = catalog.closed_form
-    monkeypatch.setattr(catalog, "closed_form", lambda key: closed_form(key) + 1.0)
+    entry = catalog.get("SUM_9")
+    monkeypatch.setitem(catalog.registry(), "SUM_9", entry._replace(closed_fn=lambda p: entry.closed_fn(p) + 1.0))
     code, out = run(capsys, "verify", "--id", "SUM_9", "--tol", "1e-10")
     assert code == 1
     assert out.startswith("SUM_9  corrected ") and out.endswith("  FAIL\n")

@@ -306,6 +306,16 @@ def test_polygamma_keeps_its_bits_through_order_170():
     assert digest.hexdigest() == "79ccc0314b03d71bf1dcd2d50cc3f07a992ddf414b3c900da7a82749a56790a2"
 
 
+@pytest.mark.parametrize("bad", [2.0, True, "2"], ids=repr)
+@pytest.mark.parametrize("call", [lambda k: polygamma(k, 1.0), zeta_e_weighted],
+                         ids=["polygamma", "zeta_e_weighted"])
+def test_integer_orders_must_be_ints(call, bad):
+    # polygamma(True, 1.0) used to return psi_1(1) and zeta_e_weighted(True)
+    # a value, while 2.0 raised TypeError from math.factorial or a list index
+    with pytest.raises(ValueError, match="must be an int"):
+        call(bad)
+
+
 # --- zeta_E weights -----------------------------------------------------------------
 
 def test_zeta_e_weighted():
