@@ -306,14 +306,14 @@ def _binom_family(id: str, paper_eq: str, description: str, *, top_offset: int, 
             c = c * ((u + 1) * u) // ((v + 1) * v)
             u, v, sc = u + 2, v + 2, sc * step
         x, cap = head[-1], cap_at(m, M)
-        tails = list(accumulate(reversed(head[:-1]), initial=x / (1.0 - cap)))
-        tails.reverse()  # tail(first-1)..tail(M-1)
-        tail = tails.pop(0)
+        tails = list(accumulate(reversed(head[:-1]), initial=x / (1.0 - cap)))  # tail(M-1)..tail(first-1)
+        tail = tails.pop()
+        tails.reverse()
         if size * (tail + floor) <= limit:  # the zero block N..first-1 shares tail(first-1)
             for j in range(N, min(first, last + 1)):
                 yield j, 0.0, 0.0, tail
         hi = lo = 0.0  # a CompensatedSum, inlined: these loops are nearly all of a deep verify_all
-        for j, (t, tail) in enumerate(zip(head[:max(0, last + 1 - first)], tails), first):
+        for j, t, tail in zip(range(first, last + 1), head, tails):
             s = hi + t
             lo += (hi - s) + t if hi >= t else (t - s) + hi
             hi = s
