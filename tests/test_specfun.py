@@ -206,6 +206,36 @@ def test_power_sums_keep_their_bits():
             hurwitz_zeta(bad, 1.0)
 
 
+def test_power_sum_edges_keep_their_bits():
+    # the edges the grid above misses: a below 0.05, s within 1e-4 of the
+    # pole, head terms past the float range (recorded as their ValueError),
+    # zeta and beta on a 1/256 grid, and the two constants
+    rng = random.Random(2387)
+    rows = [(rng.uniform(1.0001, 60.0), rng.uniform(1e-3, 0.05)) for _ in range(600)]
+    rows += [(rng.uniform(60.0, 400.0), rng.uniform(1e-3, 0.05)) for _ in range(300)]
+    rows += [(1.0 + 10.0 ** -rng.uniform(4.0, 15.0), rng.uniform(1e-3, 50.0)) for _ in range(300)]
+    rows += [(1.0 + 2.0 ** -k, None) for k in range(14, 53)]
+    digest = hashlib.sha256()
+
+    def record(fn, *args):
+        try:
+            r = fn(*args)
+        except ValueError as exc:
+            digest.update(f"ValueError {exc}\n".encode())
+            return 1
+        digest.update(f"{r.value.hex()} {r.terms_used} {r.error_bound.hex()}\n".encode())
+        return 0
+
+    failed = sum(record(zeta_minus_one, s) if a is None else record(hurwitz_zeta, s, a) for s, a in rows)
+    assert 0 < failed < 300  # some, not all, of the large-s rows overflow a head term
+    for j in range(282, 40 * 256 + 1):  # s = j/256 over [1.1, 40]
+        record(riemann_zeta, j / 256)
+        record(dirichlet_beta, j / 256)
+    record(catalan)
+    record(euler_gamma)
+    assert digest.hexdigest() == "6e718a1d7048ec0c9a0147a8344aaf772267b679c49de45af24fbaaeb3d63349"
+
+
 # --- dirichlet beta / catalan ----------------------------------------------------
 
 def test_beta_three():
