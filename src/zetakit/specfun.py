@@ -94,27 +94,42 @@ def _bern_over_fact(k: int) -> float:
     return num / den / math.factorial(2 * k)
 
 
+@lru_cache(maxsize=None)
+def _em_coefficients() -> tuple[float, ...]:
+    """B_2k / (2k)! for k = 1 .. _EM_DEPTH + 1, built on first use."""
+    return tuple(_bern_over_fact(k) for k in range(1, _EM_DEPTH + 2))
+
+
 def _power_sum(s: float, a: float, head: int) -> tuple[float, float]:
     """Value and truncation bound for sum_{n>=0} (n+a)^-s, s > 1, a > 0.
 
-    The first `head` terms are summed directly, the rest by Euler-Maclaurin
-    from x = head + a.  The bound is the magnitude of the first omitted
-    correction term, which dominates the remainder for real s > 0.
+    The first `head` terms are summed directly, by a CompensatedSum inlined
+    (each term is +0.0 or above, so its test |hi| >= |t| is hi >= t), the rest
+    by Euler-Maclaurin from x = head + a.  The bound is the magnitude of the
+    first omitted correction term, which dominates the remainder for real
+    s > 0.  Once x^(-s-1) is 0.0, every correction is +-0.0 and the bound 0.0:
+    they are skipped, as the rising factorial may have overflowed to inf.
     """
-    terms = CompensatedSum()
+    hi = lo = 0.0
+    neg_s = -s
     for n in range(head):
-        terms.add((n + a) ** (-s))
+        t = (n + a) ** neg_s
+        u = hi + t
+        lo += (hi - u) + t if hi >= t else (t - u) + hi
+        hi = u
     x = head + a
-    acc = x ** (1.0 - s) / (s - 1.0) + 0.5 * x ** (-s)
+    acc = x ** (1.0 - s) / (s - 1.0) + 0.5 * x ** neg_s
+    power = x ** (neg_s - 1.0)
+    if not power:
+        return hi + lo + acc, 0.0
+    coefs = _em_coefficients()
     rising = s  # (s)(s+1)...(s+2k-2), built incrementally
-    power = x ** (-s - 1.0)
     inv_x2 = 1.0 / (x * x)
     for k in range(1, _EM_DEPTH + 1):
-        acc += _bern_over_fact(k) * rising * power
+        acc += coefs[k - 1] * rising * power
         rising *= (s + 2 * k - 1) * (s + 2 * k)
         power *= inv_x2
-    bound = abs(_bern_over_fact(_EM_DEPTH + 1) * rising * power)
-    return terms.value + acc, bound
+    return hi + lo + acc, abs(coefs[_EM_DEPTH] * rising * power)
 
 
 def zeta_minus_one(s: float) -> EvalResult:

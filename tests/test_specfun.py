@@ -14,6 +14,7 @@ import zetakit
 from zetakit import specfun
 from zetakit.exact import beta_odd_exact, bernoulli, zeta_e_exact, zeta_even_exact
 from zetakit.quadrature import QuadratureResult
+from zetakit.summation import CompensatedSum
 from zetakit.specfun import (
     CL2_METHODS,
     EvalResult,
@@ -235,6 +236,33 @@ def test_power_sum_edges_keep_their_bits():
     record(euler_gamma)
     assert digest.hexdigest() == "6e718a1d7048ec0c9a0147a8344aaf772267b679c49de45af24fbaaeb3d63349"
 
+
+
+def test_zeta_past_the_rising_factorial_range():
+    # from s ~ 4.77e14 the rising factorial of the corrections overflows to
+    # inf while x^(-s-1) is 0.0; the corrections are +-0.0 there, not NaN
+    eps16 = 16 * sys.float_info.epsilon
+    for s in (4e14, 4.77e14, 1e15, 1e300):
+        assert riemann_zeta(s) == (1.0, 28, eps16), s
+        assert zeta_minus_one(s) == (0.0, 28, 0.0), s
+        assert hurwitz_zeta(s, 3.0) == (0.0, 30, 0.0), s
+    assert riemann_zeta(sys.float_info.max) == (1.0, 28, eps16)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, allow_infinity=False) | st.floats(0.0, 1e-300), max_size=40))
+def test_inline_neumaier_on_nonnegative_terms_equals_compensated_sum(terms):
+    # the power-sum head and the catalogue's family scans inline the Neumaier
+    # update with hi >= t in place of abs(hi) >= abs(t): on terms >= +0.0
+    # both running sums are >= +0.0, so the two tests pick the same branch
+    ref = CompensatedSum()
+    hi = lo = 0.0
+    for t in terms:
+        ref.add(t)
+        u = hi + t
+        lo += (hi - u) + t if hi >= t else (t - u) + hi
+        hi = u
+    assert (hi + lo).hex() == ref.value.hex()
 
 # --- dirichlet beta / catalan ----------------------------------------------------
 
