@@ -53,13 +53,13 @@ def test_compute_other_constants(capsys):
         assert abs(float(out.split()[0].split("=")[1]) - expected) <= 1e-12
 
 
-
 def test_compute_zeta_past_the_rising_factorial_range(capsys):
     # from s ~ 4.77e14 the rising factorial overflows; the corrections are 0.0
     for s in ("4e14", "1e15", "1e300"):
         code, out = run(capsys, "compute", "zeta", s)
         assert code == 0, s
         assert out.startswith("value=1 terms_used=28 "), s
+
 
 def test_compute_usage_errors(capsys, tmp_path):
     for argv in (

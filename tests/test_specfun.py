@@ -14,7 +14,6 @@ import zetakit
 from zetakit import specfun
 from zetakit.exact import beta_odd_exact, bernoulli, zeta_e_exact, zeta_even_exact
 from zetakit.quadrature import QuadratureResult
-from zetakit.summation import CompensatedSum
 from zetakit.specfun import (
     CL2_METHODS,
     EvalResult,
@@ -33,6 +32,7 @@ from zetakit.specfun import (
     zeta_even_table,
     zeta_minus_one,
 )
+from zetakit.summation import CompensatedSum
 
 PI = math.pi
 
@@ -237,7 +237,6 @@ def test_power_sum_edges_keep_their_bits():
     assert digest.hexdigest() == "6e718a1d7048ec0c9a0147a8344aaf772267b679c49de45af24fbaaeb3d63349"
 
 
-
 def test_zeta_past_the_rising_factorial_range():
     # from s ~ 4.77e14 the rising factorial of the corrections overflows to
     # inf while x^(-s-1) is 0.0; the corrections are +-0.0 there, not NaN
@@ -263,6 +262,7 @@ def test_inline_neumaier_on_nonnegative_terms_equals_compensated_sum(terms):
         lo += (hi - u) + t if hi >= t else (t - u) + hi
         hi = u
     assert (hi + lo).hex() == ref.value.hex()
+
 
 # --- dirichlet beta / catalan ----------------------------------------------------
 
