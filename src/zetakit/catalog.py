@@ -675,7 +675,8 @@ def check_tolerance(tolerance: float) -> None:
         raise ValueError(f"tolerance must be finite and >= {MIN_TOLERANCE:g}")
 
 
-def _resolve(key: CatalogKey) -> tuple[IdentityDescriptor, int | None]:
+def _resolve(key: CatalogKey, N: int | None = None) -> tuple[IdentityDescriptor, int | None]:
+    """The key's entry and parameter; a depth N, when given, must be an int >= start_index."""
     entry = get(key.id)
     if not entry.verifiable:
         raise ValueError(f"{key.id} is a function representation, not a summable identity")
@@ -687,10 +688,13 @@ def _resolve(key: CatalogKey) -> tuple[IdentityDescriptor, int | None]:
             raise ValueError(
                 f"{key.id} parameter {entry.param_name} must be in [{entry.param_min}, {PARAM_CAP}]"
             )
-        return entry, key.param
-    if key.param is not None:
+    elif key.param is not None:
         raise ValueError(f"{key.id} takes no parameter")
-    return entry, None
+    if N is not None:
+        check_int("N", N)
+        if N < entry.start_index:
+            raise ValueError(f"N must be >= start index {entry.start_index}")
+    return entry, key.param
 
 
 def term(key: CatalogKey, n: int) -> float:
@@ -722,10 +726,7 @@ def tail_bound(key: CatalogKey, N: int) -> float:
     Includes the TAIL_FLOOR pad, so the bound stays valid when the partial
     sums it brackets are themselves compared in 64-bit arithmetic.
     """
-    entry, param = _resolve(key)
-    check_int("N", N)
-    if N < entry.start_index:
-        raise ValueError(f"N must be >= start index {entry.start_index}")
+    entry, param = _resolve(key, N)
     return next(entry.stream(param, N))[3] + TAIL_FLOOR
 
 
@@ -778,12 +779,10 @@ def depth_for(key: CatalogKey, tolerance: float) -> int:
 
 def partial_sum(key: CatalogKey, N: int) -> EvalResult:
     """Compensated bare-series sum of terms start_index..N with its tail bound."""
-    start = _resolve(key)[0].start_index
-    check_int("N", N)
-    if N < start:
-        raise ValueError(f"N must be >= start index {start}")
-    _, value, bound = next(islice(partial_sums(key), N - start, None))
-    return EvalResult(value, N - start + 1, bound)
+    entry, param = _resolve(key, N)
+    start = entry.start_index
+    _, _, value, tail = next(islice(entry.stream(param, start), N - start, None))
+    return EvalResult(value, N - start + 1, tail + TAIL_FLOOR)
 
 
 def assembled_sum(key: CatalogKey, N: int) -> EvalResult:

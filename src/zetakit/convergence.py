@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import time
 from collections import namedtuple
+from itertools import islice
 
 from . import catalog
 from .catalog import CatalogKey, InconclusiveError
@@ -16,17 +17,6 @@ COMPARE_TARGETS = ("zeta3", "catalan-relations", "all")
 
 ConvergenceProfile = namedtuple("ConvergenceProfile",
                                 "key tolerance terms_needed achieved_error wall_time_ns")
-
-
-def _scan_to_tolerance(key: CatalogKey, target: float, tolerance: float) -> int:
-    """Least summation depth N with |assembled(N) - target| <= tolerance."""
-    offset, scale = catalog.assembly(key)
-    cap = catalog.MAX_TERMS
-    for terms, (n, value, _) in enumerate(catalog.partial_sums(key), 1):
-        if abs(offset + scale * value - target) <= tolerance:
-            return n
-        if terms >= cap:
-            raise InconclusiveError(f"{key.label()}: tolerance {tolerance:g} not reached at the {cap}-term cap")
 
 
 def profile(key: CatalogKey, tolerance: float) -> ConvergenceProfile:
@@ -41,13 +31,17 @@ def profile(key: CatalogKey, tolerance: float) -> ConvergenceProfile:
     """
     catalog.check_tolerance(tolerance)
     target = catalog.closed_form(key)  # validates the key
-    n = _scan_to_tolerance(key, target, tolerance)
-    start = catalog.get(key.id).start_index
+    offset, scale = catalog.assembly(key)
+    cap = catalog.MAX_TERMS
+    for terms, (n, value, _) in enumerate(islice(catalog.partial_sums(key), cap), 1):
+        if abs(offset + scale * value - target) <= tolerance:
+            break
+    else:
+        raise InconclusiveError(f"{key.label()}: tolerance {tolerance:g} not reached at the {cap}-term cap")
     t0 = time.perf_counter_ns()
     value = catalog.assembled_sum(key, n).value
     wall = time.perf_counter_ns() - t0
-    achieved = abs(value - target)
-    return ConvergenceProfile(key, tolerance, n - start + 1, achieved, wall)
+    return ConvergenceProfile(key, tolerance, terms, abs(value - target), wall)
 
 
 def compare(target: str, tolerance: float) -> list[ConvergenceProfile]:

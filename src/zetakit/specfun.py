@@ -248,27 +248,36 @@ def euler_gamma() -> EvalResult:
 
 
 def polygamma(order: int, z: float) -> EvalResult:
-    """psi_n(z) for integer order >= 1, z > 0, through the Hurwitz zeta.
+    """psi_n(z) for integer order >= 1, finite z > 0, through the Hurwitz zeta.
 
     psi_n(z) = (-1)^(n+1) n! zeta(n+1, z).  From order 171, whose n! is past the
     float range, the product takes n! >> e and ldexp restores the factor 2^e.
+    From order 301 no value is left to compute: 301! 2^-1022, n! times the
+    least normal zeta, already exceeds the float range.
     """
     check_int("order", order)
     if order < 1:
         raise ValueError("polygamma requires order >= 1")
-    if not z > 0.0:
-        raise ValueError("polygamma requires z > 0")
-    h = hurwitz_zeta(order + 1.0, z)
+    if not (z > 0.0 and math.isfinite(z)):
+        raise ValueError("polygamma requires finite z > 0")
+    try:
+        h = hurwitz_zeta(order + 1.0, z)
+    except OverflowError:  # order + 1.0: the order itself is past the float range
+        raise ValueError("polygamma: the order exceeds the float range") from None
+    except ValueError:  # the one left: a head term z^-(n+1), so psi_n(z) too, past the float range
+        h = EvalResult(math.inf, 0, 0.0)
     if h.value < sys.float_info.min:  # a subnormal or zero zeta has lost its digits
         raise ValueError(f"polygamma({order}, {z!r}): zeta({order + 1}, {z!r}) underflows the float range")
-    f = math.factorial(order)
-    e = max(0, f.bit_length() - 1020)  # 0 through order 170
-    fact, sign = float(f >> e), 1.0 if order % 2 == 1 else -1.0
-    try:
-        value = math.ldexp(sign * fact * h.value, e)
-        bound = math.ldexp(fact * h.error_bound, e) + _ULPS * abs(value)
-    except OverflowError:
-        value = math.inf
+    value = math.inf
+    if order <= 300:
+        f = math.factorial(order)
+        e = max(0, f.bit_length() - 1020)  # 0 through order 170
+        fact, sign = float(f >> e), 1.0 if order % 2 == 1 else -1.0
+        try:
+            value = math.ldexp(sign * fact * h.value, e)
+            bound = math.ldexp(fact * h.error_bound, e) + _ULPS * abs(value)
+        except OverflowError:
+            value = math.inf
     if math.isinf(value):
         raise ValueError(f"polygamma({order}, {z!r}) exceeds the float range")
     return EvalResult(value, h.terms_used, bound)
@@ -419,15 +428,13 @@ def _cl2_series(r: float, method: str) -> EvalResult:
     acc = CompensatedSum()
     qpow = 1.0
     weight = 3  # (a n + 1 - a)(2n + 1) at n = 1
-    n = 0
-    while True:
-        n += 1
+    for n in range(1, 401):
         qpow *= q
         major *= step
         acc.add(coef(n) / weight * qpow)
         weight = (a * n + 1) * (2 * n + 3)  # the weight of term n + 1
         tail = major * qpow * q / (weight * ratio) * r
-        if (tail <= 1e-17 and n >= min_n) or n >= 400:
+        if tail <= 1e-17 and n >= min_n:
             break
     head, head_mag = head_fn(r)
     # c is 1 or -2: scaling the sum by it is exact, as it would be term by term

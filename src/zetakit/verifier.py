@@ -54,6 +54,16 @@ class VerificationReport(namedtuple(
 
     __slots__ = ()
 
+    @property
+    def status(self) -> str:
+        """Derived: "INCONCLUSIVE", "pass", "FAIL (expected-discrepancy)" for a
+        failed printed variant, else "FAIL"; not a field, so to_dict omits it."""
+        if self.inconclusive:
+            return "INCONCLUSIVE"
+        if self.passed:
+            return "pass"
+        return "FAIL (expected-discrepancy)" if self.variant == "printed" else "FAIL"
+
     def to_dict(self) -> dict:
         """The fields in order, passed named "pass" and key as {id, param}."""
         out = {"pass" if name == "passed" else name: value for name, value in zip(self._fields, self)}
@@ -180,18 +190,13 @@ MAX_SINGULARITIES = 1024
 
 def _interior_singularities(lattice: tuple[float, float], a: float, b: float) -> list[float]:
     offset, period = lattice
-    k = math.ceil((a - offset) / period)
-    if math.floor((b - offset) / period) - k >= MAX_SINGULARITIES:
+    first = math.ceil((a - offset) / period)
+    last = math.floor((b - offset) / period)
+    if last - first >= MAX_SINGULARITIES:
         raise ValueError(f"[{a!r}, {b!r}] holds more than {MAX_SINGULARITIES} singular points of the integrand")
-    points = []
-    while True:
-        x = offset + k * period
-        if x >= b:
-            break
-        if x > a:
-            points.append(x)
-        k += 1
-    return points
+    # first and last come from rounded quotients, so k runs one past last and
+    # only the points strictly inside (a, b) are kept
+    return [x for x in (offset + k * period for k in range(first, last + 2)) if a < x < b]
 
 
 def quadrature(integrand_id: str, lower: float, upper: float) -> QuadratureResult:
@@ -333,19 +338,9 @@ def reports_to_json(reports: list[VerificationReport]) -> str:
 
 
 def reports_to_text(reports: list[VerificationReport]) -> str:
-    lines = []
     width = max((len(r.key.label()) for r in reports), default=10)
-    for r in reports:
-        if r.inconclusive:
-            status = "INCONCLUSIVE"
-        elif r.passed:
-            status = "pass"
-        elif r.variant == "printed":
-            status = "FAIL (expected-discrepancy)"
-        else:
-            status = "FAIL"
-        lines.append(
-            f"{r.key.label():<{width}}  {r.variant:<9}  lhs={r.lhs: .15e}  rhs={r.rhs: .15e}"
-            f"  abs_err={r.abs_err:.3e}  n={r.n_terms:<6d}  {status}"
-        )
-    return "\n".join(lines)
+    return "\n".join(
+        f"{r.key.label():<{width}}  {r.variant:<9}  lhs={r.lhs: .15e}  rhs={r.rhs: .15e}"
+        f"  abs_err={r.abs_err:.3e}  n={r.n_terms:<6d}  {r.status}"
+        for r in reports
+    )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetakit import catalog, convergence
+from zetakit import catalog
 from zetakit.catalog import CatalogKey
 from zetakit.convergence import compare, export, profile
 from zetakit.specfun import riemann_zeta
@@ -56,7 +56,7 @@ def test_profile_and_compare_reject_bad_tolerance_before_scanning(tol, monkeypat
     def no_scan(*args):
         raise AssertionError("a scan started")
 
-    monkeypatch.setattr(convergence, "_scan_to_tolerance", no_scan)
+    monkeypatch.setattr(catalog, "partial_sums", no_scan)
     message = "tolerance must be finite and >= 1e-13"
     with pytest.raises(ValueError, match=message):
         profile(CatalogKey("SUM_23"), tol)

@@ -364,6 +364,33 @@ def test_polygamma_keeps_its_bits_through_order_170():
     assert digest.hexdigest() == "79ccc0314b03d71bf1dcd2d50cc3f07a992ddf414b3c900da7a82749a56790a2"
 
 
+@pytest.mark.parametrize("order, z, message", [
+    (1, 1e-200, r"^polygamma\(1, 1e-200\) exceeds the float range$"),  # z^-2 past the float range
+    (1, math.inf, "^polygamma requires finite z > 0$"),
+    (1, math.nan, "^polygamma requires finite z > 0$"),
+    (10**400, 1.0, "^polygamma: the order exceeds the float range$"),  # order + 1.0 overflows
+    (10**5000, 1.0, "^polygamma: the order exceeds the float range$"),  # past str()'s digit limit too
+], ids=["z=1e-200", "z=inf", "z=nan", "order=10**400", "order=10**5000"])
+def test_polygamma_errors_name_polygamma(order, z, message):
+    # these once carried hurwitz_zeta's messages, or an OverflowError from int to float
+    with pytest.raises(ValueError, match=message):
+        polygamma(order, z)
+
+
+@pytest.mark.parametrize("order, z", [(301, 1.0), (400, 0.9), (10**5, 1.0), (10**20, 1.0), (2**1000, 1.0)],
+                         ids=["301", "400", "10**5", "10**20", "2**1000"])
+def test_polygamma_past_order_300_builds_no_factorial(order, z, monkeypatch):
+    # 301! 2^-1022, n! times the least normal zeta(n + 1, z), exceeds the
+    # largest float (an integer), and 300! 2^-1022 does not
+    largest = int(sys.float_info.max)
+    assert math.factorial(301) > largest << 1022 > math.factorial(300)
+    sizes, factorial = [], math.factorial
+    monkeypatch.setattr(math, "factorial", lambda n: sizes.append(n) or factorial(n))
+    with pytest.raises(ValueError, match=rf"^polygamma\({order}, {z!r}\) exceeds the float range$"):
+        polygamma(order, z)
+    assert all(n <= 300 for n in sizes)
+
+
 @pytest.mark.parametrize("bad", [2.0, True, "2"], ids=repr)
 @pytest.mark.parametrize("call", [lambda k: polygamma(k, 1.0), zeta_e_weighted],
                          ids=["polygamma", "zeta_e_weighted"])

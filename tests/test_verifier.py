@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import zetakit
@@ -305,6 +305,62 @@ def test_quadrature_rejects_a_long_interval_at_once():
         quadrature("log_sin", -1.0, math.pi * (verifier.MAX_SINGULARITIES + 0.5))
 
 
+def _walk_singularities(lattice, a, b):
+    """The interior singular points as a walk from the first lattice point at
+    or above a to the first at or above b: the reference listing."""
+    offset, period = lattice
+    k = math.ceil((a - offset) / period)
+    points = []
+    while True:
+        x = offset + k * period
+        if x >= b:
+            return points
+        if x > a:
+            points.append(x)
+        k += 1
+
+
+@st.composite
+def _intervals(draw, lattice):
+    # ends drawn freely or on lattice points; b - a spans under 956 periods,
+    # so the MAX_SINGULARITIES guard never fires.  Within 1e15 of 0 the float
+    # lattice offset + k period rises by about a period per step, which the walk needs
+    offset, period = lattice
+    on_lattice = st.integers(-3 * 10**14, 3 * 10**14).map(lambda k: offset + k * period)
+    a = draw(st.one_of(st.floats(-1e15, 1e15), on_lattice))
+    near = st.integers(-1, 955).map(lambda j: offset + (math.floor((a - offset) / period) + j) * period)
+    b = draw(st.one_of(st.floats(0.0, 3000.0).map(lambda w: a + w), near))
+    assume(a < b)
+    return a, b
+
+
+@pytest.mark.parametrize("integrand_id", verifier.INTEGRAND_IDS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_interior_singularities_match_the_walk(integrand_id, data):
+    lattice = verifier._INTEGRANDS[integrand_id][1]
+    a, b = data.draw(_intervals(lattice))
+    assert verifier._interior_singularities(lattice, a, b) == _walk_singularities(lattice, a, b)
+
+
+_STALLED_LATTICE_PROBE = """
+import sys
+sys.path.insert(0, {src!r})
+from zetakit.verifier import quadrature
+print(quadrature("log_sin", 6.29995967274359e+29, 6.299959672743591e+29).evaluations)
+"""
+
+
+def test_quadrature_ends_where_the_lattice_stalls():
+    # in a child with a deadline: near 6.3e29, k pi rounds to one float for
+    # every k the interval spans, so the walk above never reaches b and
+    # quadrature once never returned; the listing stops after last + 1
+    src = os.path.dirname(os.path.dirname(zetakit.__file__))
+    out = subprocess.run([sys.executable, "-c", _STALLED_LATTICE_PROBE.format(src=src)],
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert int(out.stdout) > 0
+
+
 def test_tanh_sinh_rejects_an_overflowing_width():
     with pytest.raises(ValueError, match="width"):
         tanh_sinh(math.exp, -1.5e308, 1.5e308)
@@ -496,6 +552,22 @@ def test_records_are_frozen():
         for field in record._fields:
             with pytest.raises(AttributeError):
                 setattr(record, field, None)
+
+
+def test_report_status_is_the_last_text_column():
+    key = CatalogKey("SUM_28", 3)
+    passed = VerificationReport(key, 0.5, 0.5, 0.0, 0.0, 40, 1e-10, "corrected", True)
+    cases = [
+        (passed, "pass"),
+        (passed._replace(passed=False), "FAIL"),
+        (passed._replace(passed=False, variant="printed"), "FAIL (expected-discrepancy)"),
+        (passed._replace(passed=True, variant="printed"), "pass"),
+        (verifier.inconclusive_report(key, 1e-10), "INCONCLUSIVE"),
+    ]
+    for report, status in cases:
+        assert report.status == status
+        assert verifier.reports_to_text([report]).endswith(f"n={report.n_terms:<6d}  {status}")
+        assert "status" not in report.to_dict() and "status" not in report._fields
 
 
 def test_record_reprs():
