@@ -121,6 +121,20 @@ def test_zeta_alternating_region():
     assert res.error_bound < 1e-13
 
 
+def test_zeta_unit_interval_keeps_its_bits():
+    # the 0 < s < 1 branch (accelerated eta): a 1/4096 grid, s near the pole
+    # and s = 2^-k from 2^-13 down to the least subnormal
+    grid = [j / 4096 for j in range(1, 4096)] + [0.999, 0.9999]
+    grid += [1.0 - 2.0 ** -k for k in range(10, 53)]
+    grid += [2.0 ** -k for k in range(13, 1075)]
+    digest = hashlib.sha256()
+    for s in grid:
+        r = riemann_zeta(s)
+        digest.update(f"{r.value.hex()} {r.terms_used} {r.error_bound.hex()}\n".encode())
+    assert grid[-1] == math.ulp(0.0)
+    assert digest.hexdigest() == "befea08d4562e16ecdc2a56510654f2563fe2861c9b214fb420ce7102e23c538"
+
+
 def test_zeta_minus_one_full_precision():
     # at s = 60 the value is dominated by 2^-60; relative agreement must hold
     direct = sum(float(k) ** -60.0 for k in range(2, 40))
