@@ -88,16 +88,22 @@ class EvalResult(namedtuple("EvalResult", "value terms_used error_bound")):
         return cls(*iterable)
 
 
-def _bern_over_fact(k: int) -> float:
-    # B_{2k} / (2k)! as a float: the correctly rounded B_{2k}, then the division
-    num, den = bernoulli_pair(2 * k)
-    return num / den / math.factorial(2 * k)
+def _bernoulli_float(n: int) -> float:
+    # the correctly rounded B_n; the coefficient tables below divide it once more
+    num, den = bernoulli_pair(n)
+    return num / den
 
 
 @lru_cache(maxsize=None)
 def _em_coefficients() -> tuple[float, ...]:
     """B_2k / (2k)! for k = 1 .. _EM_DEPTH + 1, built on first use."""
-    return tuple(_bern_over_fact(k) for k in range(1, _EM_DEPTH + 2))
+    return tuple(_bernoulli_float(2 * k) / math.factorial(2 * k) for k in range(1, _EM_DEPTH + 2))
+
+
+@lru_cache(maxsize=None)
+def _gamma_coefficients() -> tuple[float, ...]:
+    """B_2k / (2k) for k = 1 .. _EM_DEPTH + 1, built on first use."""
+    return tuple(_bernoulli_float(2 * k) / (2 * k) for k in range(1, _EM_DEPTH + 2))
 
 
 def _power_sum(s: float, a: float, head: int) -> tuple[float, float]:
@@ -144,25 +150,41 @@ def zeta_minus_one(s: float) -> EvalResult:
     return EvalResult(value, _EM_HEAD - 2 + _EM_DEPTH, trunc + _ULPS * abs(value))
 
 
-def _alternating_zeta(s: float) -> tuple[float, float]:
-    """eta(s) = sum (-1)^(n-1) n^-s by Chebyshev-weighted acceleration.
-
-    The weights are the classic (3+sqrt(8))-geometry acceleration for
-    alternating series of totally monotone terms; the error after n terms is
-    below 2 (3+sqrt(8))^-n, and the bound adds the rounding of the sum.
-    """
+@lru_cache(maxsize=None)
+def _cvz_weights() -> tuple[float, tuple[tuple[float, float], ...]]:
+    """d and the pairs (c_k, k + 1.0), k < _CVZ_TERMS, of the eta acceleration, built on first use."""
     n = _CVZ_TERMS
     d = (3.0 + 2.0 * math.sqrt(2.0)) ** n
     d = 0.5 * (d + 1.0 / d)
     b = -1.0
     c = -d
-    acc = CompensatedSum()
+    pairs = []
     for k in range(n):
         c = b - c
-        acc.add(c * float(k + 1) ** (-s))
+        pairs.append((c, float(k + 1)))
         b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1.0))
-    bound = 2.0 / (3.0 + math.sqrt(8.0)) ** n + _CVZ_ROUNDING
-    return acc.value / d, bound
+    return d, tuple(pairs)
+
+
+def _alternating_zeta(s: float) -> tuple[float, float]:
+    """eta(s) = sum (-1)^(n-1) n^-s by Chebyshev-weighted acceleration.
+
+    The weights are the classic (3+sqrt(8))-geometry acceleration for
+    alternating series of totally monotone terms; the error after n terms is
+    below 2 (3+sqrt(8))^-n, and the bound adds the rounding of the sum.  The
+    weighted terms alternate in sign, so the inlined CompensatedSum keeps its
+    test |hi| >= |t|.
+    """
+    d, pairs = _cvz_weights()
+    hi = lo = 0.0
+    neg_s = -s
+    for c, base in pairs:
+        t = c * base ** neg_s
+        u = hi + t
+        lo += (hi - u) + t if abs(hi) >= abs(t) else (t - u) + hi
+        hi = u
+    bound = 2.0 / (3.0 + math.sqrt(8.0)) ** _CVZ_TERMS + _CVZ_ROUNDING
+    return (hi + lo) / d, bound
 
 
 def riemann_zeta(s: float) -> EvalResult:
@@ -233,17 +255,19 @@ def catalan() -> EvalResult:
 def euler_gamma() -> EvalResult:
     """Euler-Mascheroni constant via the corrected H_N - log N at N = 100."""
     n = 100
-    harmonic = CompensatedSum()
+    hi = lo = 0.0  # a CompensatedSum, inlined: every 1/k is > 0, so |hi| >= |t| is hi >= t
     for k in range(1, n + 1):
-        harmonic.add(1.0 / k)
-    value = harmonic.value - math.log(n) - 0.5 / n
+        t = 1.0 / k
+        u = hi + t
+        lo += (hi - u) + t if hi >= t else (t - u) + hi
+        hi = u
+    value = hi + lo - math.log(n) - 0.5 / n
+    *coefs, last = _gamma_coefficients()
     power = 1.0 / (n * n)
-    for k in range(1, _EM_DEPTH + 1):
-        num, den = bernoulli_pair(2 * k)
-        value += num / den / (2 * k) * power
+    for coef in coefs:
+        value += coef * power
         power /= n * n
-    num, den = bernoulli_pair(2 * _EM_DEPTH + 2)
-    trunc = abs(num / den / (2 * _EM_DEPTH + 2) * power)
+    trunc = abs(last * power)
     return EvalResult(value, n, trunc + _ULPS * abs(value))
 
 

@@ -196,7 +196,11 @@ def _interior_singularities(lattice: tuple[float, float], a: float, b: float) ->
         raise ValueError(f"[{a!r}, {b!r}] holds more than {MAX_SINGULARITIES} singular points of the integrand")
     # first and last come from rounded quotients, so k runs one past last and
     # only the points strictly inside (a, b) are kept
-    return [x for x in (offset + k * period for k in range(first, last + 2)) if a < x < b]
+    points = [x for x in (offset + k * period for k in range(first, last + 2)) if a < x < b]
+    # from about 1e17 the float steps exceed the period: two k round to one point
+    if len(set(points)) < len(points):
+        raise ValueError(f"the floats of [{a!r}, {b!r}] cannot resolve the integrand's period {period!r}")
+    return points
 
 
 def quadrature(integrand_id: str, lower: float, upper: float) -> QuadratureResult:
@@ -206,7 +210,8 @@ def quadrature(integrand_id: str, lower: float, upper: float) -> QuadratureResul
     every piece has at worst endpoint log singularities, which the
     double-exponential transform absorbs.  An interval holding more than
     MAX_SINGULARITIES singular points is a ValueError, raised before any is
-    listed.
+    listed; so is one whose floats are too coarse to tell two singular points
+    apart, raised before any piece is integrated.
     """
     if integrand_id not in _INTEGRANDS:
         raise ValueError(f"unknown integrand {integrand_id!r}")

@@ -278,6 +278,21 @@ def test_inline_neumaier_on_nonnegative_terms_equals_compensated_sum(terms):
     assert (hi + lo).hex() == ref.value.hex()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.floats(-1e-300, 1e-300), max_size=40))
+def test_inline_neumaier_on_terms_of_either_sign_equals_compensated_sum(terms):
+    # the eta loop of riemann_zeta on (0, 1) inlines the update with the
+    # general test abs(hi) >= abs(t), as its weighted terms alternate in sign
+    ref = CompensatedSum()
+    hi = lo = 0.0
+    for t in terms:
+        ref.add(t)
+        u = hi + t
+        lo += (hi - u) + t if abs(hi) >= abs(t) else (t - u) + hi
+        hi = u
+    assert (hi + lo).hex() == ref.value.hex()
+
+
 # --- dirichlet beta / catalan ----------------------------------------------------
 
 def test_beta_three():
@@ -434,8 +449,9 @@ def test_floats_equal_the_fraction_route_bit_for_bit():
         assert zeta_even_float(n) == zeta_even_exact(n).numeric(), n
     for k in range(1, 309):
         assert zeta_e_weighted(k).value == zeta_e_exact(k).numeric() * (1.0 - 4.0 ** (-k)), k
-    for k in range(1, 12):  # the Euler-Maclaurin coefficients B_2k / (2k)!
-        assert specfun._bern_over_fact(k) == float(bernoulli(2 * k)) / math.factorial(2 * k), k
+    for k in range(1, 12):  # the Euler-Maclaurin coefficients B_2k / (2k)! and euler_gamma's B_2k / (2k)
+        assert specfun._em_coefficients()[k - 1] == float(bernoulli(2 * k)) / math.factorial(2 * k), k
+        assert specfun._gamma_coefficients()[k - 1] == float(bernoulli(2 * k)) / (2 * k), k
 
 
 def test_zeta_e_weight_limit_consistency():
