@@ -197,7 +197,7 @@ def _interior_singularities(lattice: tuple[float, float], a: float, b: float) ->
     # first and last come from rounded quotients, so k runs one past last and
     # only the points strictly inside (a, b) are kept
     points = [x for x in (offset + k * period for k in range(first, last + 2)) if a < x < b]
-    # from about 1e17 the float steps exceed the period: two k round to one point
+    # where the floats step by more than the period, two k can round to one point
     if len(set(points)) < len(points):
         raise ValueError(f"the floats of [{a!r}, {b!r}] cannot resolve the integrand's period {period!r}")
     return points

@@ -363,8 +363,8 @@ def test_quadrature_ends_where_the_lattice_stalls():
 
 @pytest.mark.parametrize("a, b", [(1e17, 1e17 + 3000.0), (-5.616051765958707e17, -5.616051765958682e17)])
 def test_quadrature_names_a_lattice_the_floats_cannot_resolve(a, b):
-    # from about 1e17 offset + k pi steps by more than pi, so two k round to
-    # one point; that once reached tanh_sinh as a zero-width piece
+    # from 2^54 (about 1.8e16) the floats step by more than pi, so two k can
+    # round to one point; that once reached tanh_sinh as a zero-width piece
     with pytest.raises(ValueError, match=r"the floats of \[.*\] cannot resolve the integrand's period"):
         quadrature("log_sin", a, b)
 
