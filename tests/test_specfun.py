@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zetakit
-from zetakit import specfun
+from zetakit import specfun, verifier
 from zetakit.exact import beta_odd_exact, bernoulli, zeta_e_exact, zeta_even_exact
 from zetakit.quadrature import QuadratureResult
 from zetakit.specfun import (
@@ -545,6 +545,29 @@ def test_cl2_float_two_pi_is_not_an_exact_zero():
     res = clausen_cl2(2 * PI)
     assert res.value == 0.0
     assert 1e-14 <= res.error_bound <= 1e-13
+
+
+def test_cl2_keeps_its_bits():
+    # the series methods on a 1/256 grid over |theta| <= 4 pi, at 2^-k down to
+    # the least subnormal, close to the zeros c pi and 2 pi k, and at +-10^k;
+    # then the direct sum at 16 angles and the cross-check report
+    grid = [j / 256 for j in range(-int(4 * PI * 256), int(4 * PI * 256) + 1)]
+    grid += [2.0 ** -k for k in range(1075)]
+    grid += [c * PI + d * 10.0 ** (-j / 16) for c in (-3, -1, 1, 3) for d in (-1, 1) for j in range(257)]
+    grid += [2 * PI * k + d * 10.0 ** (-j / 8) for k in (-1000, -1, 1, 2, 3, 1000, 10 ** 6)
+             for d in (-1, 1) for j in range(129)]
+    grid += [d * 10.0 ** k for k in range(3, 301) for d in (-1, 1)]
+    digest = hashlib.sha256()
+    for theta in grid:
+        for method in ("accel", "wzl", "peeled", "auto"):
+            r = clausen_cl2(theta, method)
+            digest.update(f"{r.value.hex()} {r.terms_used} {r.error_bound.hex()}\n".encode())
+    for i in range(16):
+        r = clausen_cl2(0.05 + i * (2 * PI - 0.1) / 15, "direct")
+        digest.update(f"{r.value.hex()} {r.terms_used} {r.error_bound.hex()}\n".encode())
+    digest.update(repr(verifier.cross_check_clausen()).encode())
+    assert math.ulp(0.0) in grid
+    assert digest.hexdigest() == "ec1f6df584abbdc12f7a6ba636442af93362e6608f4d7f3db5884e16d6d62db4"
 
 
 def test_cl2_direct_default_depth():
