@@ -17,7 +17,6 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .exact import PI_ERR, PI_REL_ERR, bernoulli_pair, check_int, pi_poly, zigzag
-from .summation import CompensatedSum
 
 __all__ = [
     "EvalResult",
@@ -352,9 +351,20 @@ def zeta_even_float(n: int) -> float:
     return zeta_even_table()[n] if n < ZETA_EVEN_LEN else 1.0
 
 
-@lru_cache(maxsize=None)
+# From n = 538 on, zeta(2n) - 1 < 2^-2n (1 + 2/(2n-1)) is below 2^-1075, half
+# the least subnormal, so its float is +0.0; zeta_minus_one(2n) returns just
+# that, as each of its terms underflows.  zeta_even_m1_float returns it without
+# the call, so a stream of any depth caches at most 537 values.
+_ZETA_M1_ZERO_FROM = 538
+
+
 def zeta_even_m1_float(n: int) -> float:
-    """zeta(2n) - 1 as a float at full relative precision, n >= 1."""
+    """zeta(2n) - 1 as a float at full relative precision, n >= 1; +0.0 from n = 538."""
+    return _zeta_even_m1(n) if n < _ZETA_M1_ZERO_FROM else 0.0
+
+
+@lru_cache(maxsize=None)
+def _zeta_even_m1(n: int) -> float:
     if n < 1:
         raise ValueError("zeta_even_m1_float requires n >= 1")
     return zeta_minus_one(2.0 * n).value
@@ -449,20 +459,23 @@ def _cl2_series(r: float, method: str) -> EvalResult:
     ratio = 1.0 - q / rho
     step = 1.0 / rho  # exact: rho is 1 or 4
     major *= step  # major / rho^(n+1), exact
-    acc = CompensatedSum()
+    hi = lo = 0.0  # a CompensatedSum, inlined: each term is +0.0 or above, so |hi| >= |t| is hi >= t
     qpow = 1.0
     weight = 3  # (a n + 1 - a)(2n + 1) at n = 1
     for n in range(1, 401):
         qpow *= q
         major *= step
-        acc.add(coef(n) / weight * qpow)
+        t = coef(n) / weight * qpow
+        u = hi + t
+        lo += (hi - u) + t if hi >= t else (t - u) + hi
+        hi = u
         weight = (a * n + 1) * (2 * n + 3)  # the weight of term n + 1
         tail = major * qpow * q / (weight * ratio) * r
         if tail <= 1e-17 and n >= min_n:
             break
     head, head_mag = head_fn(r)
     # c is 1 or -2: scaling the sum by it is exact, as it would be term by term
-    series = c * r * acc.value
+    series = c * r * (hi + lo)
     # rounding floor scales with the assembled pieces, not the (smaller) result;
     # below ~1e-307 it underflows, and a subnormal result's rounding is absolute
     return EvalResult(head + series, n, tail + _ULPS * (head_mag + abs(series)) + _SUBNORMAL_PAD)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import os
 import random
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zetakit
-from zetakit import specfun, verifier
+from zetakit import catalog, specfun, verifier
 from zetakit.exact import beta_odd_exact, bernoulli, zeta_e_exact, zeta_even_exact
 from zetakit.quadrature import QuadratureResult
 from zetakit.specfun import (
@@ -165,6 +166,19 @@ def test_zeta_even_float_is_one_past_the_table():
         assert zeta_even_float(n) == 1.0 == 1.0 + zeta_minus_one(2.0 * n).value, n
 
 
+def test_zeta_even_m1_float_is_zero_from_538_and_caches_no_more():
+    # zeta(2n) - 1 < 2^-2n (1 + 2/(2n-1)) rounds to +0.0 from n = 538 on; the
+    # view returns it without a zeta_minus_one call, so a deep stream leaves
+    # at most 537 cached values
+    assert zeta_minus_one(2 * 537.0).value > 0.0
+    assert zeta_minus_one(2 * 538.0).value == 0.0
+    for n in (*range(1, 3001), 10 ** 6, 10 ** 15):
+        assert zeta_even_m1_float(n).hex() == zeta_minus_one(2.0 * n).value.hex(), n
+    for _ in itertools.islice(catalog.partial_sums(catalog.CatalogKey("RZS_LOG2")), 5000):
+        pass
+    assert specfun._zeta_even_m1.cache_info().currsize <= 537
+
+
 # --- hurwitz zeta ---------------------------------------------------------------
 
 @pytest.mark.parametrize("s", [2.0, 3.0, 4.0, 6.0, 8.0])
@@ -265,9 +279,10 @@ def test_zeta_past_the_rising_factorial_range():
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(0.0, allow_infinity=False) | st.floats(0.0, 1e-300), max_size=40))
 def test_inline_neumaier_on_nonnegative_terms_equals_compensated_sum(terms):
-    # the power-sum head and the catalogue's family scans inline the Neumaier
-    # update with hi >= t in place of abs(hi) >= abs(t): on terms >= +0.0
-    # both running sums are >= +0.0, so the two tests pick the same branch
+    # the power-sum head (_power_sum), the Cl2 series loop (_cl2_series) and
+    # the catalogue's family scans inline the Neumaier update with hi >= t in
+    # place of abs(hi) >= abs(t): on terms >= +0.0 both running sums are
+    # >= +0.0, so the two tests pick the same branch
     ref = CompensatedSum()
     hi = lo = 0.0
     for t in terms:
