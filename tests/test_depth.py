@@ -502,6 +502,42 @@ def test_evaluate_tail_bound_and_partial_sums_bits_are_pinned():
     assert digest == "51ea6782c48c355e1fb0a881f5eb00d04db85219af1291e461e7dbf1b7643c5c"
 
 
+SCALAR_IDS = [e.id for e in catalog.registry().values() if e.verifiable and not e.is_family]
+
+
+def _scalar_scan_lines():
+    """float.hex lines of each scalar entry's first 300 partial sums, the
+    first 300 steps of its stream from start_index + 3, its tail_bound at N =
+    start_index..start_index + 40, and every yield of its scan at two limits
+    with the term cap below, inside and past the depth those limits pick."""
+    lines = []
+    for id_ in SCALAR_IDS:
+        entry, key = catalog.get(id_), CatalogKey(id_)
+        start = entry.start_index
+        for N, value, bound in islice(catalog.partial_sums(key), 300):
+            lines.append(f"{id_} sum {N} {value.hex()} {bound.hex()}")
+        for n, t, value, tail in islice(entry.stream(None, start + 3), 300):
+            lines.append(f"{id_} stream {n} {t.hex()} {value.hex()} {tail.hex()}")
+        for N in range(start, start + 41):
+            lines.append(f"{id_} tail {N} {catalog.tail_bound(key, N).hex()}")
+        for limit in (1e-13, 1e-6):
+            for last in (start - 1, start + 5, start + 60):
+                steps = " ".join(f"{j}:{t.hex()}:{s.hex()}:{tail.hex()}"
+                                 for j, t, s, tail in entry.scan_fn(None, start, 2.0, limit, last))
+                lines.append(f"{id_} scan {limit!r} {last} {steps}")
+    return lines
+
+
+def test_scalar_scan_bits_are_pinned():
+    # every term, running sum and tail of the 26 scalar scans, bit for bit
+    # (the battery above pins only their evaluate)
+    lines = _scalar_scan_lines()
+    assert len(SCALAR_IDS) == 26
+    assert len(lines) == 26 * (300 + 300 + 41 + 6)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "dc1b819c5bca0af86c006afacc93cf9afe8b36e77753fb583a2923e60c46b8b8"
+
+
 def test_family_evaluate_bits_are_pinned_at_every_param():
     # value, depth and bound of evaluate for every family parameter up to
     # PARAM_CAP (the battery above takes every eighth above 64, and the
