@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import accumulate, islice
 from typing import Callable, Iterator, Optional
 
-from .exact import check_int, pi_poly, zigzag
+from .exact import check_int, factorial, pi_poly, zigzag
 from .specfun import (
     EvalResult,
     ZETA2,
@@ -34,7 +34,7 @@ from .specfun import (
     zeta_even_float,
     zeta_even_m1_float,
     zeta_even_table,
-    zeta_minus_one,
+    zeta_m1_table,
 )
 from .summation import CompensatedSum
 
@@ -131,27 +131,6 @@ def _const(name: str) -> float:
             "gamma": euler_gamma}[name]().value
 
 
-# --- tail-bound constructions ------------------------------------------------
-
-
-def _poly_geom_tail(p: Callable[[int], float], ratio: float, major: float) -> Callable[[int], float]:
-    """Bound for tails of major-bounded-coefficient sums c(n) p(n) ratio^n.
-
-    Valid when c(n) <= major on the tail and p has nonincreasing successive
-    ratios (true for every polynomial factor used here): then
-    p(n) <= p(N+1) rho^(n-N-1) with rho = max(1, p(N+2)/p(N+1)).
-    """
-
-    def tail(N: int) -> float:
-        p_next = p(N + 1)
-        rho = max(1.0, p(N + 2) / p_next)
-        if rho * ratio >= 1.0:
-            raise ValueError("tail bound needs rho * ratio < 1")
-        return major * p_next * ratio ** (N + 1) / (1.0 - rho * ratio)
-
-    return tail
-
-
 # --- registry construction ---------------------------------------------------
 
 _MIN_NORMAL = math.ldexp(1.0, -1022)  # the least normal float
@@ -190,16 +169,73 @@ def _series(id: str, paper_eq: str, description: str, term_fn: TermFn,
 
 def _scalar_entry(id: str, paper_eq: str, description: str, *, p: Callable[[int], float],
                   ratio: float, minus_one: bool = False, **fields) -> IdentityDescriptor:
-    """A scalar entry sum_n coeff(n) p(n) ratio^n, coeff(n) = zeta(2n), or zeta(2n) - 1 when minus_one."""
-    if minus_one:
-        coeff, tail = zeta_even_m1_float, _poly_geom_tail(p, ratio / 4.0, 2.0)
-    else:
-        coeff, tail = zeta_even_float, _poly_geom_tail(p, ratio, ZETA2)
+    """A scalar entry sum_n coeff(n) p(n) ratio^n, coeff(n) = zeta(2n), or zeta(2n) - 1 when minus_one.
+
+    The tail after n is bounded like a geometric series: with coeff(j) <=
+    major and p of nonincreasing successive ratios (true for every factor p
+    used here), p(j) <= p(n+1) rho^(j-n-1) for j > n, rho = max(1, p(n+2)/p(n+1)),
+    so tail(n) = major p(n+1) r^(n+1) / (1 - rho r).  For zeta(2n), major is
+    zeta(2) and r the ratio; zeta(2n) - 1 <= 2 4^-n takes major 2 and r = ratio/4.
+    """
+    coeff = zeta_even_m1_float if minus_one else zeta_even_float
+    major, r = (2.0, ratio / 4.0) if minus_one else (ZETA2, ratio)
+    least_n = 1 if minus_one else 0  # coeff(n) is defined from here on
 
     def term_fn(_param: int | None, n: int) -> float:
         return coeff(n) * p(n) * ratio ** n
 
-    return _series(id, paper_eq, description, term_fn, tail, **fields)
+    def scan_fn(param, N, size, limit, last):
+        """The scan of _series with term_fn, tail(n) and CompensatedSum
+        written out, with the same float operations in the same order.
+        coeff(n) comes from specfun's tables, p(n + 1) and p(n + 2) are
+        carried to the next step, and the Neumaier update keeps its test
+        |hi| >= |t|, since a start at n = 0 adds zeta(0) = -1/2 first.  A tail
+        whose rho r reaches 1 raises ValueError."""
+        if last < N:
+            return
+        if N < least_n:
+            coeff(N)  # raises coeff's ValueError, as term_fn(param, N) does
+        zetas, known, zm1, floor = zeta_even_table(), ZETA_EVEN_LEN, zeta_m1_table(), TAIL_FLOOR
+        p_n, p_next = p(N), p(N + 1)
+        hi = lo = 0.0
+        for n in range(N, last + 1):
+            c = zm1[2 * n] if minus_one else zetas[n] if n < known else 1.0
+            t = c * p_n * ratio ** n
+            p_far = p(n + 2)
+            rho = p_far / p_next
+            rho_r = (rho if rho > 1.0 else 1.0) * r  # max(1.0, rho) * r
+            if rho_r >= 1.0:
+                raise ValueError("tail bound needs rho * ratio < 1")
+            tail = major * p_next * r ** (n + 1) / (1.0 - rho_r)
+            s = hi + t
+            lo += (hi - s) + t if abs(hi) >= abs(t) else (t - s) + hi
+            hi = s
+            if size * (tail + floor) <= limit:
+                yield n, t, hi + lo, tail
+            p_n, p_next = p_next, p_far
+
+    return IdentityDescriptor(id=id, paper_eq=paper_eq, description=description,
+                              term_fn=term_fn, scan_fn=scan_fn, **fields)
+
+
+def _wide_quotient(num: int, n: int, e: int) -> float:
+    """num / (n << e) as the family scan needs it, for num too wide for num / n.
+
+    Correctly rounded wherever the result is normal; a result at or below
+    the least normal the scan recomputes by that full division.  Round to
+    odd: with s = bits(num) - 64 - bits(n), X is num >> s with its last bit
+    set when any dropped bit is set.  X / n >= 2^63, where every float and
+    every midpoint between two floats is a multiple of 2^10, so n times each
+    is an even integer.  num / 2^s is X itself or lies strictly between two
+    integers, one of them the odd X; so no float or midpoint lies between
+    num / (n 2^s) and X / n, and the two round alike.  Scaling the rounded
+    X / n by 2^(s - e) is exact where the result is normal.
+    """
+    s = num.bit_length() - 64 - n.bit_length()
+    top = num >> s
+    if top << s != num:
+        top |= 1
+    return math.ldexp(top / n, s - e)
 
 
 def _binom_family(id: str, paper_eq: str, description: str, *, top_offset: int, choose: Callable[[int], int],
@@ -240,8 +276,11 @@ def _binom_family(id: str, paper_eq: str, description: str, *, top_offset: int, 
         cap = (top + 2) * (top + 1) / ((top + 2 - m) * (top + 1 - m)) * ratio
         return cap * _WEIGHT[n] if weighted and n < ZETA_EVEN_LEN else cap
 
-    def closure_point(param: int, N: int) -> int:
-        """M, the first n > N with a nonzero binomial and cap(n) <= q_star.
+    km1 = k_star - 1.0
+    km1_sq4 = km1 ** 2 / 4.0
+
+    def closure(m: int, N: int) -> tuple[int, float]:
+        """M, the first n > N with a nonzero binomial and cap(n) <= q_star, and cap(M).
 
         The float test holds from M on, because cap never increases.  The
         walk starts at the floor of the larger real root y = T + 3/2 of
@@ -250,12 +289,11 @@ def _binom_family(id: str, paper_eq: str, description: str, *, top_offset: int, 
         exceeds q_star by at least one step's fall, far more than a rounding,
         so the start is at most M (one step short for most parameters).
         """
-        m = choose(param)
-        y = (k_star * m + math.sqrt(k_star * m * m + (k_star - 1.0) ** 2 / 4.0)) / (k_star - 1.0)
+        y = (k_star * m + math.sqrt(k_star * m * m + km1_sq4)) / km1
         n = max(N + 1, (m - top_offset + 1) // 2, int((y - 1.5 - top_offset) / 2.0))
-        while cap_at(m, n) > q_star:
+        while (cap := cap_at(m, n)) > q_star:
             n += 1
-        return n
+        return n, cap
 
     def scan_fn(param, N, size, limit, last):
         """The family's scan: a head loop, a replay of the head, then a steady loop.
@@ -270,7 +308,7 @@ def _binom_family(id: str, paper_eq: str, description: str, *, top_offset: int, 
         subnormal can round up to that); otherwise, or when num / n
         overflows, term_fn's division runs.
 
-        M = closure_point(param, N) is found before any term.  The head loop
+        M = closure(m, N)[0] is found before any term.  The head loop
         computes first..M; the replay sums first..M-1 with tail(M-1) =
         t(M)/(1 - cap(M)) and tail(n) = t(n+1) + tail(n+1) below (float sums
         of non-negative terms, so non-increasing).  The leading zero binomials
@@ -286,7 +324,7 @@ def _binom_family(id: str, paper_eq: str, description: str, *, top_offset: int, 
         """
         m = choose(param)
         first = max(N, (m - top_offset + 1) // 2)  # first n >= N with 2n + top_offset >= m
-        M = closure_point(param, N)
+        M, cap = closure(m, N)
         u = 2 * first + top_offset + 1
         v = u - m
         c = math.comb(u - 1, m)
@@ -298,14 +336,14 @@ def _binom_family(id: str, paper_eq: str, description: str, *, top_offset: int, 
             num = (c << 2 * n) - c if weighted else c  # c (4^n - 1)
             try:
                 q = num / n * sc
-            except OverflowError:
-                q = 0.0
+            except OverflowError:  # num past about 1024 bits
+                q = _wide_quotient(num, n, shift * n)
             if q <= tiny:
                 q = num / (n << shift * n)
             head.append(zetas[n] * q if n < known else q)
             c = c * ((u + 1) * u) // ((v + 1) * v)
             u, v, sc = u + 2, v + 2, sc * step
-        x, cap = head[-1], cap_at(m, M)
+        x = head[-1]
         tails = list(accumulate(reversed(head[:-1]), initial=x / (1.0 - cap)))  # tail(M-1)..tail(first-1)
         tail = tails.pop()
         tails.reverse()
@@ -324,8 +362,8 @@ def _binom_family(id: str, paper_eq: str, description: str, *, top_offset: int, 
             num = (c << 2 * n) - c if weighted else c
             try:
                 q = num / n * sc
-            except OverflowError:
-                q = 0.0
+            except OverflowError:  # num past about 1024 bits
+                q = _wide_quotient(num, n, shift * n)
             if q <= tiny:
                 q = num / (n << shift * n)
             x = zetas[n] * q if n < known else q
@@ -343,38 +381,41 @@ def _binom_family(id: str, paper_eq: str, description: str, *, top_offset: int, 
                 yield n - 1, t, hi + lo, tail
             t = x
 
-    scan_fn.closure_point = closure_point  # the M of a scan from N
+    scan_fn.closure_point = lambda param, N: closure(choose(param), N)[0]  # the M of a scan from N
     return IdentityDescriptor(id=id, paper_eq=paper_eq, description=description,
                               term_fn=term_fn, scan_fn=scan_fn, **fields)
 
 
 # lambda(m)/pi^m for even m (lambda(m) = zeta(m)(1 - 2^-m)) and beta(m)/pi^m
 # for odd m (beta(1) = pi/4) are both A_(m-1) / (2^(m+1) (m-1)!), A the zigzag
-# numbers, so each family closed form below is a map of integer pairs.
+# numbers, so each family closed form below is a sum of num/den * pi^power
+# over integer pairs.  Each is exact.pi_poly's sum written out: the powers in
+# ascending order, with its leading 0.0 + x dropped (x is never -0.0, so
+# 0.0 + x is x), and math.pi ** 0 = 1.0 dropped from the power-0 term.
 
 
 def _thm21_closed(m: int) -> float:
     if m % 2 == 1:
-        return pi_poly({0: (1, m)})
-    return pi_poly({0: (-1, m), m: (zigzag(m - 1), math.factorial(m) << m)})
+        return 1 / m
+    return -1 / m + zigzag(m - 1) / (factorial(m) << m) * math.pi ** m
 
 
 def _thm29_closed(m: int) -> float:
     sign = 1 if m % 2 == 0 else -1
-    return pi_poly({0: (-sign, m), m: (sign * zigzag(m - 1), math.factorial(m) << (m + 1))})
+    return -sign / m + sign * zigzag(m - 1) / (factorial(m) << (m + 1)) * math.pi ** m
 
 
 def _sum28_closed(k: int, corrected: bool) -> float:
-    tail = (1 if corrected else -1, 2 * k * (2 * k - 1))
-    return pi_poly({0: tail, 2 * k: (zigzag(2 * k - 1), math.factorial(2 * k) << 2 * k)})
+    tail = (1 if corrected else -1) / (2 * k * (2 * k - 1))
+    return tail + zigzag(2 * k - 1) / (factorial(2 * k) << 2 * k) * math.pi ** (2 * k)
 
 
 def _sum37_closed(k: int) -> float:
-    return pi_poly({2 * k: (zigzag(2 * k - 1), math.factorial(2 * k) << (2 * k + 1))})
+    return zigzag(2 * k - 1) / (factorial(2 * k) << (2 * k + 1)) * math.pi ** (2 * k)
 
 
 def _sum38_closed(k: int) -> float:
-    return pi_poly({2 * k + 1: (zigzag(2 * k), math.factorial(2 * k + 1) << (2 * k + 2))})
+    return zigzag(2 * k) / (factorial(2 * k + 1) << (2 * k + 2)) * math.pi ** (2 * k + 1)
 
 
 def _apery_term(_param: int | None, n: int) -> float:
@@ -389,6 +430,7 @@ def _representation(id: str, paper_eq: str, description: str) -> IdentityDescrip
 
 def _build_registry() -> dict[str, IdentityDescriptor]:
     entries: list[IdentityDescriptor] = []
+    zm1 = zeta_m1_table()
 
     entries.append(_representation(
         "CL2_ACCEL_8", "Eq. (8)",
@@ -488,21 +530,21 @@ def _build_registry() -> dict[str, IdentityDescriptor]:
     entries.append(_series(
         "RZS_ONE", "Sec. 2.2",
         "sum_{m>=2} (zeta(m) - 1) = 1",
-        lambda _p, n: zeta_minus_one(float(n + 1)).value,
+        lambda _p, n: zm1[n + 1],
         lambda N: 2.0 ** (-N),
         closed_fn=_f(1.0),
     ))
     entries.append(_series(
         "RZS_GAMMA", "Sec. 2.2",
         "sum_{m>=2} (zeta(m) - 1)/m = 1 - gamma",
-        lambda _p, n: zeta_minus_one(float(n + 1)).value / (n + 1),
+        lambda _p, n: zm1[n + 1] / (n + 1),
         lambda N: 2.0 ** (-N) / (N + 3),
         closed_fn=lambda _p: 1.0 - _const("gamma"),
     ))
     entries.append(_series(
         "RZS_LOG2", "Sec. 2.2",
         "sum_{n>=1} (zeta(2n) - 1)/n = log 2",
-        lambda _p, n: zeta_even_m1_float(n) / n,
+        lambda _p, n: zm1[2 * n] / n,
         lambda N: (2.0 / 3.0) * 4.0 ** (-N) / (N + 1),
         closed_fn=lambda _p: math.log(2.0),
     ))
@@ -683,7 +725,8 @@ def _resolve(key: CatalogKey, N: int | None = None) -> tuple[IdentityDescriptor,
     if entry.is_family:
         if key.param is None:
             raise ValueError(f"{key.id} needs parameter {entry.param_name}")
-        check_int(f"{key.id} parameter {entry.param_name}", key.param)
+        if type(key.param) is not int:  # check_int's rule; its message is built only here
+            check_int(f"{key.id} parameter {entry.param_name}", key.param)
         if not (entry.param_min <= key.param <= PARAM_CAP):
             raise ValueError(
                 f"{key.id} parameter {entry.param_name} must be in [{entry.param_min}, {PARAM_CAP}]"

@@ -15,6 +15,8 @@ import math
 import sys
 from collections import namedtuple
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from .exact import PI_ERR, PI_REL_ERR, bernoulli_pair, check_int, pi_poly, zigzag
 
@@ -35,6 +37,7 @@ __all__ = [
     "zeta_even_float",
     "zeta_even_m1_float",
     "zeta_even_table",
+    "zeta_m1_table",
     "ZETA_EVEN_LEN",
 ]
 
@@ -80,7 +83,7 @@ class EvalResult(namedtuple("EvalResult", "value terms_used error_bound")):
             raise ValueError("error_bound must be finite and >= 0")
         if terms_used < 0:
             raise ValueError("terms_used must be >= 0")
-        return super().__new__(cls, value, terms_used, error_bound)
+        return tuple.__new__(cls, (value, terms_used, error_bound))  # namedtuple's __new__, one call less
 
     @classmethod
     def _make(cls, iterable) -> EvalResult:  # _replace builds through _make: keep the check
@@ -344,30 +347,72 @@ def zeta_even_table() -> tuple[float, ...]:
                     for n in range(1, ZETA_EVEN_LEN)))
 
 
-def zeta_even_float(n: int) -> float:
-    """zeta(2n) as a float, with zeta(0) = -1/2 at n = 0: zeta_even_table()[n], then 1.0."""
-    if n < 0:
-        raise ValueError("zeta_even_float requires n >= 0")
+def _zeta_even(n: int) -> float:
+    # zeta_even_float for an int n >= 0, unchecked: the Cl2 series loop reads it per term
     return zeta_even_table()[n] if n < ZETA_EVEN_LEN else 1.0
 
 
-# From n = 538 on, zeta(2n) - 1 < 2^-2n (1 + 2/(2n-1)) is below 2^-1075, half
-# the least subnormal, so its float is +0.0; zeta_minus_one(2n) returns just
-# that, as each of its terms underflows.  zeta_even_m1_float returns it without
-# the call, so a stream of any depth caches at most 537 values.
-_ZETA_M1_ZERO_FROM = 538
+def zeta_even_float(n: int) -> float:
+    """zeta(2n) as a float, with zeta(0) = -1/2 at n = 0: zeta_even_table()[n], then 1.0."""
+    check_int("n", n)
+    if n < 0:
+        raise ValueError("zeta_even_float requires n >= 0")
+    return _zeta_even(n)
+
+
+# From m = 1075 on, zeta_minus_one(m) is +0.0: each head term (k + 2)^-m is at
+# most 2^-1075, half the least subnormal, which rounds to 0.0 (a tie, to the
+# even 0.0), and the Euler-Maclaurin part underflows with them; at m = 1074
+# the k = 2 term is the least subnormal itself.  At even m = 2n that is from
+# n = 538, where the exact zeta(2n) - 1 < 2^-2n (1 + 2/(2n-1)) is below
+# 2^-1075 as well.
+_ZETA_M1_ZERO_FROM = 1075
+
+
+class _ZetaM1Table(dict):
+    """zeta(m) - 1 keyed by int m >= 2, filled on each m's first read (see zeta_m1_table);
+    two threads that fill one m at once store equal floats."""
+
+    __slots__ = ()
+
+    def __missing__(self, m: int) -> float:
+        check_int("m", m)
+        if m < 2:
+            raise ValueError("zeta(m) - 1 needs m >= 2")
+        if m >= _ZETA_M1_ZERO_FROM:
+            return 0.0
+        value = self[m] = zeta_minus_one(float(m)).value
+        return value
+
+
+_ZETA_M1 = _ZetaM1Table()
+_ZETA_M1_VIEW = MappingProxyType(_ZETA_M1)
+
+
+def zeta_m1_table() -> Mapping[int, float]:
+    """The one table of zeta(m) - 1 at integer m >= 2, read-only.
+
+    table[m] is zeta_minus_one(float(m)).value, bit for bit; each m is
+    computed on its first read and kept, up to m = 1074.  From m = 1075 on,
+    where that value is +0.0, a read returns +0.0 and keeps nothing.  The
+    catalogue's zeta(m) - 1 series and zeta_even_m1_float all read it; a read
+    of an m that is not an int >= 2 raises ValueError.
+    """
+    return _ZETA_M1_VIEW
+
+
+def _zeta_even_m1(n: int) -> float:
+    # zeta_even_m1_float for an int n >= 1, unchecked: the Cl2 series loop reads it per term
+    return _ZETA_M1[2 * n]
 
 
 def zeta_even_m1_float(n: int) -> float:
-    """zeta(2n) - 1 as a float at full relative precision, n >= 1; +0.0 from n = 538."""
-    return _zeta_even_m1(n) if n < _ZETA_M1_ZERO_FROM else 0.0
-
-
-@lru_cache(maxsize=None)
-def _zeta_even_m1(n: int) -> float:
+    """zeta(2n) - 1 as a float at full relative precision, n >= 1: zeta_m1_table()[2n],
+    +0.0 from n = 538."""
+    check_int("n", n)
     if n < 1:
         raise ValueError("zeta_even_m1_float requires n >= 1")
-    return zeta_minus_one(2.0 * n).value
+    return _ZETA_M1[2 * n]
 
 
 # --- Clausen function Cl2 ---------------------------------------------------
@@ -454,7 +499,7 @@ _CL2_SERIES = {
 
 def _cl2_series(r: float, method: str) -> EvalResult:
     c, a, peeled, rho, major, min_n, head_fn = _CL2_SERIES[method]
-    coef = zeta_even_m1_float if peeled else zeta_even_float
+    coef = _zeta_even_m1 if peeled else _zeta_even
     q = (r / TWO_PI) ** 2
     ratio = 1.0 - q / rho
     step = 1.0 / rho  # exact: rho is 1 or 4

@@ -230,6 +230,39 @@ def test_running_scale_is_ldexp_and_term_fn_quotient(b):
     assert checked > 5000
 
 
+@pytest.mark.parametrize("b", (2, 4))
+def test_wide_quotient_is_term_fn_quotient(b):
+    # where num / n overflows (num past about 1024 bits: the family heads past
+    # param 128) the scan takes a round-to-odd quotient of num's top bits,
+    # scaled by a power of two; wherever num / (n << b n) is normal that is
+    # its float, bit for bit, and below the least normal it is at most that
+    # (the scan then divides in full)
+    rng = random.Random(1024 + b)
+    tiny, normal, subnormal = math.ldexp(1.0, -1022), 0, 0
+    for i in range(20000):
+        n = rng.randrange(1, 1500)
+        bits = rng.randrange(1025 + n.bit_length(), 3400)  # so that num / n >= 2^1024
+        if i % 4 == 0:
+            # a midpoint between two floats times n, or a neighbour of one:
+            # ties and near-ties, where a plain truncation would round wrongly
+            mid = (rng.getrandbits(53) | 1 << 53) | 1
+            num = (mid * n << max(0, bits - 54 - n.bit_length())) + rng.choice((-1, 0, 0, 1))
+        else:
+            num = rng.getrandbits(bits) | 1 << (bits - 1)
+        with pytest.raises(OverflowError):
+            num / n
+        # num / (n << e) near 2^r, for r from below the subnormals to near 1
+        e = num.bit_length() - n.bit_length() + rng.randrange(-8, 1100)
+        got, want = catalog._wide_quotient(num, n, e), num / (n << e)
+        if want >= tiny:
+            assert got.hex() == want.hex(), (num, n, e)
+            normal += 1
+        else:
+            assert got <= tiny, (num, n, e)
+            subnormal += 1
+    assert normal > 10000 and subnormal > 1000
+
+
 def _hex(steps):
     return [(t.hex(), tail.hex()) for t, tail in steps]
 
@@ -568,15 +601,18 @@ def test_family_terms_and_tails_are_non_negative(id_):
 
 
 def test_zeta_even_table_builds_alike_under_threads():
-    # the family scans read one zeta(2n) table, built on first use: threads
-    # that build it at once must each get the table and the results a single
-    # thread gets
+    # the scans read one zeta(2n) table, built on first use, and one zeta(m) - 1
+    # table, filled per m: threads that fill them at once must each get the
+    # tables and the results a single thread gets
     keys = [CatalogKey(id_, p) for id_ in FAMILY_IDS for p in (1, 8, 64)]
+    keys += [CatalogKey(id_) for id_ in ("RZS_ONE", "RZS_GAMMA", "RZS_LOG2", "ZETA3_20")]
+    specfun._ZETA_M1.clear()  # so that it holds just what these keys read
     expected = [catalog.evaluate(key, 1e-13) for key in keys]
-    table = specfun.zeta_even_table()
+    table, m1_table = specfun.zeta_even_table(), dict(specfun.zeta_m1_table())
     interval = sys.getswitchinterval()
-    for _ in range(5):  # a fresh table each round
+    for _ in range(5):  # fresh tables each round
         specfun.zeta_even_table.cache_clear()
+        specfun._ZETA_M1.clear()
         results, start = {}, threading.Barrier(8)
 
         def worker(i):
@@ -596,6 +632,7 @@ def test_zeta_even_table_builds_alike_under_threads():
         assert len(results) == 8 and all(got == expected for got in results.values())
         assert specfun.zeta_even_table() == table
         assert len(table) == specfun.ZETA_EVEN_LEN
+        assert dict(specfun.zeta_m1_table()) == m1_table
 
 
 def _weight(n):

@@ -31,6 +31,7 @@ from zetakit.specfun import (
     zeta_even_float,
     zeta_even_m1_float,
     zeta_even_table,
+    zeta_m1_table,
     zeta_minus_one,
 )
 from zetakit.summation import CompensatedSum
@@ -169,14 +170,48 @@ def test_zeta_even_float_is_one_past_the_table():
 def test_zeta_even_m1_float_is_zero_from_538_and_caches_no_more():
     # zeta(2n) - 1 < 2^-2n (1 + 2/(2n-1)) rounds to +0.0 from n = 538 on; the
     # view returns it without a zeta_minus_one call, so a deep stream leaves
-    # at most 537 cached values
+    # at most 537 even m in the zeta(m) - 1 table
     assert zeta_minus_one(2 * 537.0).value > 0.0
     assert zeta_minus_one(2 * 538.0).value == 0.0
     for n in (*range(1, 3001), 10 ** 6, 10 ** 15):
         assert zeta_even_m1_float(n).hex() == zeta_minus_one(2.0 * n).value.hex(), n
     for _ in itertools.islice(catalog.partial_sums(catalog.CatalogKey("RZS_LOG2")), 5000):
         pass
-    assert specfun._zeta_even_m1.cache_info().currsize <= 537
+    assert sum(1 for m in specfun._ZETA_M1 if m % 2 == 0) <= 537
+
+
+def test_zeta_m1_table_is_zeta_minus_one_and_stays_bounded():
+    # one table serves zeta(m) - 1 at every integer m: the rational zeta
+    # series read it at m = n + 1, and zeta_even_m1_float and the catalogue's
+    # zeta(2n) - 1 terms at m = 2n.  Each value is zeta_minus_one's, bit for
+    # bit; from m = 1075 on that is +0.0 (each head term is at most 2^-1075,
+    # a tie that rounds to 0.0), and the table returns it without keeping it
+    table = zeta_m1_table()
+    assert zeta_minus_one(1074.0).value == math.ldexp(1.0, -1074)
+    assert zeta_minus_one(1075.0).value == 0.0
+    rng = random.Random(1075)
+    sampled = [rng.randrange(1101, 10 ** k) for k in range(4, 16) for _ in range(20)]
+    for m in (*range(2, 1101), *sampled, 10 ** 15):
+        assert table[m].hex() == zeta_minus_one(float(m)).value.hex(), m
+    for _ in itertools.islice(catalog.partial_sums(catalog.CatalogKey("RZS_ONE")), 5000):
+        pass
+    for _ in itertools.islice(catalog.partial_sums(catalog.CatalogKey("RZS_GAMMA")), 5000):
+        pass
+    assert set(specfun._ZETA_M1) <= set(range(2, 1075))
+    with pytest.raises(TypeError):
+        table[3] = 0.0  # a read-only view
+    for bad in (1, 0, -4, 2.5, True, "2"):
+        with pytest.raises(ValueError):
+            table[bad]
+
+
+@pytest.mark.parametrize("n", [2.5, True, "2"], ids=repr)
+@pytest.mark.parametrize("view", [zeta_even_float, zeta_even_m1_float], ids=lambda f: f.__name__)
+def test_zeta_even_views_take_only_an_int(view, n):
+    # the package's int-not-bool rule (exact.check_int): no zeta(5) - 1 for
+    # n = 2.5, no zeta(2) for True, and a ValueError rather than a TypeError
+    with pytest.raises(ValueError, match="must be an int"):
+        view(n)
 
 
 # --- hurwitz zeta ---------------------------------------------------------------
