@@ -412,7 +412,7 @@ def zeta_even_m1_float(n: int) -> float:
     check_int("n", n)
     if n < 1:
         raise ValueError("zeta_even_m1_float requires n >= 1")
-    return _ZETA_M1[2 * n]
+    return _zeta_even_m1(n)
 
 
 # --- Clausen function Cl2 ---------------------------------------------------
