@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import accumulate, islice
 from typing import Callable, Iterator, Optional
 
-from .exact import check_int, factorial, pi_poly, zigzag
+from .exact import check_int, pi_poly, zigzag
 from .specfun import (
     EvalResult,
     ZETA2,
@@ -32,7 +32,6 @@ from .specfun import (
     euler_gamma,
     riemann_zeta,
     zeta_even_float,
-    zeta_even_m1_float,
     zeta_even_table,
     zeta_m1_table,
 )
@@ -131,6 +130,27 @@ def _const(name: str) -> float:
             "gamma": euler_gamma}[name]().value
 
 
+# --- tail-bound constructions ------------------------------------------------
+
+
+def _poly_geom_tail(p: Callable[[int], float], ratio: float, major: float) -> Callable[[int], float]:
+    """Bound for tails of major-bounded-coefficient sums c(n) p(n) ratio^n.
+
+    Valid when c(n) <= major on the tail and p has nonincreasing successive
+    ratios (true for every polynomial factor used here): then
+    p(n) <= p(N+1) rho^(n-N-1) with rho = max(1, p(N+2)/p(N+1)).
+    """
+
+    def tail(N: int) -> float:
+        p_next = p(N + 1)
+        rho = max(1.0, p(N + 2) / p_next)
+        if rho * ratio >= 1.0:
+            raise ValueError("tail bound needs rho * ratio < 1")
+        return major * p_next * ratio ** (N + 1) / (1.0 - rho * ratio)
+
+    return tail
+
+
 # --- registry construction ---------------------------------------------------
 
 _MIN_NORMAL = math.ldexp(1.0, -1022)  # the least normal float
@@ -171,51 +191,20 @@ def _scalar_entry(id: str, paper_eq: str, description: str, *, p: Callable[[int]
                   ratio: float, minus_one: bool = False, **fields) -> IdentityDescriptor:
     """A scalar entry sum_n coeff(n) p(n) ratio^n, coeff(n) = zeta(2n), or zeta(2n) - 1 when minus_one.
 
-    The tail after n is bounded like a geometric series: with coeff(j) <=
-    major and p of nonincreasing successive ratios (true for every factor p
-    used here), p(j) <= p(n+1) rho^(j-n-1) for j > n, rho = max(1, p(n+2)/p(n+1)),
-    so tail(n) = major p(n+1) r^(n+1) / (1 - rho r).  For zeta(2n), major is
-    zeta(2) and r the ratio; zeta(2n) - 1 <= 2 4^-n takes major 2 and r = ratio/4.
+    coeff(n) reads specfun's tables without zeta_even_float's argument check:
+    zeta_m1_table() at m = 2n, or zeta_even_table() and 1.0 past it.
     """
-    coeff = zeta_even_m1_float if minus_one else zeta_even_float
-    major, r = (2.0, ratio / 4.0) if minus_one else (ZETA2, ratio)
-    least_n = 1 if minus_one else 0  # coeff(n) is defined from here on
+    if minus_one:
+        zm1 = zeta_m1_table()
+        coeff, tail = (lambda n: zm1[2 * n]), _poly_geom_tail(p, ratio / 4.0, 2.0)
+    else:
+        coeff = lambda n: zeta_even_table()[n] if n < ZETA_EVEN_LEN else 1.0
+        tail = _poly_geom_tail(p, ratio, ZETA2)
 
     def term_fn(_param: int | None, n: int) -> float:
         return coeff(n) * p(n) * ratio ** n
 
-    def scan_fn(param, N, size, limit, last):
-        """The scan of _series with term_fn, tail(n) and CompensatedSum
-        written out, with the same float operations in the same order.
-        coeff(n) comes from specfun's tables, p(n + 1) and p(n + 2) are
-        carried to the next step, and the Neumaier update keeps its test
-        |hi| >= |t|, since a start at n = 0 adds zeta(0) = -1/2 first.  A tail
-        whose rho r reaches 1 raises ValueError."""
-        if last < N:
-            return
-        if N < least_n:
-            coeff(N)  # raises coeff's ValueError, as term_fn(param, N) does
-        zetas, known, zm1, floor = zeta_even_table(), ZETA_EVEN_LEN, zeta_m1_table(), TAIL_FLOOR
-        p_n, p_next = p(N), p(N + 1)
-        hi = lo = 0.0
-        for n in range(N, last + 1):
-            c = zm1[2 * n] if minus_one else zetas[n] if n < known else 1.0
-            t = c * p_n * ratio ** n
-            p_far = p(n + 2)
-            rho = p_far / p_next
-            rho_r = (rho if rho > 1.0 else 1.0) * r  # max(1.0, rho) * r
-            if rho_r >= 1.0:
-                raise ValueError("tail bound needs rho * ratio < 1")
-            tail = major * p_next * r ** (n + 1) / (1.0 - rho_r)
-            s = hi + t
-            lo += (hi - s) + t if abs(hi) >= abs(t) else (t - s) + hi
-            hi = s
-            if size * (tail + floor) <= limit:
-                yield n, t, hi + lo, tail
-            p_n, p_next = p_next, p_far
-
-    return IdentityDescriptor(id=id, paper_eq=paper_eq, description=description,
-                              term_fn=term_fn, scan_fn=scan_fn, **fields)
+    return _series(id, paper_eq, description, term_fn, tail, **fields)
 
 
 def _wide_quotient(num: int, n: int, e: int) -> float:
@@ -392,30 +381,33 @@ def _binom_family(id: str, paper_eq: str, description: str, *, top_offset: int, 
 # over integer pairs.  Each is exact.pi_poly's sum written out: the powers in
 # ascending order, with its leading 0.0 + x dropped (x is never -0.0, so
 # 0.0 + x is x), and math.pi ** 0 = 1.0 dropped from the power-0 term.
+# _factorial keeps k! for each k read, k <= 2 * PARAM_CAP + 1.
+
+_factorial = lru_cache(maxsize=None)(math.factorial)
 
 
 def _thm21_closed(m: int) -> float:
     if m % 2 == 1:
         return 1 / m
-    return -1 / m + zigzag(m - 1) / (factorial(m) << m) * math.pi ** m
+    return -1 / m + zigzag(m - 1) / (_factorial(m) << m) * math.pi ** m
 
 
 def _thm29_closed(m: int) -> float:
     sign = 1 if m % 2 == 0 else -1
-    return -sign / m + sign * zigzag(m - 1) / (factorial(m) << (m + 1)) * math.pi ** m
+    return -sign / m + sign * zigzag(m - 1) / (_factorial(m) << (m + 1)) * math.pi ** m
 
 
 def _sum28_closed(k: int, corrected: bool) -> float:
     tail = (1 if corrected else -1) / (2 * k * (2 * k - 1))
-    return tail + zigzag(2 * k - 1) / (factorial(2 * k) << 2 * k) * math.pi ** (2 * k)
+    return tail + zigzag(2 * k - 1) / (_factorial(2 * k) << 2 * k) * math.pi ** (2 * k)
 
 
 def _sum37_closed(k: int) -> float:
-    return zigzag(2 * k - 1) / (factorial(2 * k) << (2 * k + 1)) * math.pi ** (2 * k)
+    return zigzag(2 * k - 1) / (_factorial(2 * k) << (2 * k + 1)) * math.pi ** (2 * k)
 
 
 def _sum38_closed(k: int) -> float:
-    return zigzag(2 * k) / (factorial(2 * k + 1) << (2 * k + 2)) * math.pi ** (2 * k + 1)
+    return zigzag(2 * k) / (_factorial(2 * k + 1) << (2 * k + 2)) * math.pi ** (2 * k + 1)
 
 
 def _apery_term(_param: int | None, n: int) -> float:
@@ -725,8 +717,7 @@ def _resolve(key: CatalogKey, N: int | None = None) -> tuple[IdentityDescriptor,
     if entry.is_family:
         if key.param is None:
             raise ValueError(f"{key.id} needs parameter {entry.param_name}")
-        if type(key.param) is not int:  # check_int's rule; its message is built only here
-            check_int(f"{key.id} parameter {entry.param_name}", key.param)
+        check_int(lambda: f"{key.id} parameter {entry.param_name}", key.param)
         if not (entry.param_min <= key.param <= PARAM_CAP):
             raise ValueError(
                 f"{key.id} parameter {entry.param_name} must be in [{entry.param_min}, {PARAM_CAP}]"

@@ -10,7 +10,6 @@ B_2n = (-1)^(n-1) 2n A_(2n-1)/(4^n (4^n - 1)) and E_2n = (-1)^n A_2n.
 zeta(2n), beta(2n+1) and zeta_E(2k) are read off cot and sec, so each of
 their floats is one correctly rounded integer quotient times a power of pi,
 which pi_poly evaluates; PI_ERR is how far math.pi falls short of pi.
-factorial(k) reads k! from a second table, grown beside the zigzag numbers.
 `fractions.Fraction` appears only at the API boundary: the functions that
 return one import it when called.  check_int, the package's one rule that an
 integer argument is an int and not a bool, lives here because specfun,
@@ -27,7 +26,7 @@ import threading
 from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -41,7 +40,6 @@ __all__ = [
     "LaurentCoeff",
     "binomial",
     "zigzag",
-    "factorial",
     "bernoulli_pair",
     "bernoulli",
     "euler_number",
@@ -57,10 +55,14 @@ PI_ERR = 1.224646799147355e-16  # pi - math.pi = 1.2246467991473532e-16, rounded
 PI_REL_ERR = 3.9e-17  # (pi - math.pi)/pi = 3.8982e-17, rounded up
 
 
-def check_int(name: str, value) -> None:
-    """Raise ValueError unless value is an int; a bool is not one here."""
+def check_int(name: str | Callable[[], str], value) -> None:
+    """Raise ValueError unless value is an int; a bool is not one here.
+
+    name is the argument's name in the message, or a function that returns
+    it, called only on failure, for a caller whose name is built per call.
+    """
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an int, not {value!r}")
+        raise ValueError(f"{name() if callable(name) else name} must be an int, not {value!r}")
 
 
 def pi_poly(coeffs: dict[int, tuple[int, int]]) -> float:
@@ -142,26 +144,6 @@ def zigzag(k: int) -> int:
                 _row[:] = accumulate(reversed(_row), initial=0)
                 _zigzag.append(_row[-1])
     return _zigzag[k]
-
-
-# k! for k < _FACTORIAL_LEN, grown on demand under the same lock, one number
-# per step; the catalogue's closed forms read k! up to 2 * 256 + 1 at its
-# parameter cap.
-_FACTORIAL_LEN = 1024
-_factorial: list[int] = [1]
-
-
-def factorial(k: int) -> int:
-    """k!: below 1024 from one table grown on demand, past it math.factorial, kept nowhere."""
-    if k < 0:
-        raise ValueError("factorial requires k >= 0")
-    if k >= len(_factorial):
-        if k >= _FACTORIAL_LEN:
-            return math.factorial(k)
-        with _lock:
-            while len(_factorial) <= k:
-                _factorial.append(_factorial[-1] * len(_factorial))
-    return _factorial[k]
 
 
 @lru_cache(maxsize=None)

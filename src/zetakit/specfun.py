@@ -392,11 +392,16 @@ _ZETA_M1_VIEW = MappingProxyType(_ZETA_M1)
 def zeta_m1_table() -> Mapping[int, float]:
     """The one table of zeta(m) - 1 at integer m >= 2, read-only.
 
-    table[m] is zeta_minus_one(float(m)).value, bit for bit; each m is
-    computed on its first read and kept, up to m = 1074.  From m = 1075 on,
-    where that value is +0.0, a read returns +0.0 and keeps nothing.  The
-    catalogue's zeta(m) - 1 series and zeta_even_m1_float all read it; a read
-    of an m that is not an int >= 2 raises ValueError.
+    table[m] for an int m >= 2 is zeta_minus_one(float(m)).value, bit for
+    bit; each m is computed on its first read and kept, up to m = 1074.  From
+    m = 1075 on, where that value is +0.0, a read returns +0.0 and keeps
+    nothing.  The catalogue's zeta(m) - 1 series and zeta_even_m1_float all
+    read it.
+
+    Keys are int m >= 2, and, as in any dict, a key is checked only on a
+    miss: reading an m not yet kept raises ValueError unless m is such an
+    int, but a key equal to a kept m (3.0 once m = 3 is read) reads that m.
+    len, `in`, iteration and get see only the m kept so far.
     """
     return _ZETA_M1_VIEW
 

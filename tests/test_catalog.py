@@ -82,7 +82,7 @@ def test_family_param_must_be_an_int(bad):
     key = CatalogKey("THM_21", bad)
     for call in (catalog.closed_form, catalog.assembly, lambda k: catalog.evaluate(k, 1e-10),
                  lambda k: catalog.term(k, 1), lambda k: catalog.tail_bound(k, 1)):
-        with pytest.raises(ValueError, match="must be an int"):
+        with pytest.raises(ValueError, match=r"^THM_21 parameter m must be an int, not "):
             call(key)
 
 
@@ -177,6 +177,8 @@ def test_closed_forms_match_the_fraction_route_bit_for_bit(bernoulli_ref, euler_
     for id_ in FAMILY_IDS:
         entry = catalog.get(id_)
         assert {p for i, p, _ in maps if i == id_} == set(range(entry.param_min, catalog.PARAM_CAP + 1))
+    # the closed forms keep k! only for the k they read, k <= 2 * PARAM_CAP + 1
+    assert catalog._factorial.cache_info().currsize <= 2 * catalog.PARAM_CAP + 2
 
 
 def test_printed_variants():

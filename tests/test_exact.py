@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetakit import exact
 from zetakit.exact import (
     PI_ERR,
     PI_REL_ERR,
@@ -18,7 +17,6 @@ from zetakit.exact import (
     beta_odd_exact,
     binomial,
     euler_number,
-    factorial,
     pi_poly,
     taylor_coeff,
     zeta_e_exact,
@@ -124,10 +122,11 @@ def test_tables_match_textbook_references_to_512(bernoulli_ref, euler_ref):
 def test_table_grown_from_four_threads_equals_the_serial_table(monkeypatch):
     import threading
 
+    from zetakit import exact
+
     def fresh_tables():
         monkeypatch.setattr(exact, "_zigzag", [1])
         monkeypatch.setattr(exact, "_row", [1])
-        monkeypatch.setattr(exact, "_factorial", [1])
         bernoulli_pair.cache_clear()
 
     fresh_tables()
@@ -141,7 +140,7 @@ def test_table_grown_from_four_threads_equals_the_serial_table(monkeypatch):
 
     def grow(top):
         barrier.wait()
-        results[top] = (zigzag(top), bernoulli_pair(top), bernoulli_pair(top - 1), factorial(top))
+        results[top] = (zigzag(top), bernoulli_pair(top), bernoulli_pair(top - 1))
 
     threads = [threading.Thread(target=grow, args=(top,)) for top in tops]
     interval = sys.getswitchinterval()
@@ -155,10 +154,8 @@ def test_table_grown_from_four_threads_equals_the_serial_table(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert exact._zigzag == serial
-    assert exact._factorial == [math.factorial(k) for k in range(301)]
     for top in tops:
-        expected = (serial[top], serial_pairs[top], serial_pairs[top - 1], math.factorial(top))
-        assert results[top] == expected, top
+        assert results[top] == (serial[top], serial_pairs[top], serial_pairs[top - 1]), top
     assert [bernoulli_pair(n) for n in range(301)] == serial_pairs
 
 
@@ -373,13 +370,3 @@ def test_exact_records_are_named_tuples():
     assert p == (Fraction(1, 6), 2) and tuple(p) == (p.coeff, p.power)
     assert p._asdict() == {"coeff": Fraction(1, 6), "power": 2}
     assert repr(LaurentCoeff(Fraction(-1, 3), 1)) == "LaurentCoeff(value=Fraction(-1, 3), exponent=1)"
-
-
-def test_factorial_table_is_math_factorial_and_bounded():
-    # the closed forms read k! from one table grown on demand below 1024;
-    # past it factorial is math.factorial and the table does not grow
-    for k in (*range(0, 1100), 5000):
-        assert factorial(k) == math.factorial(k), k
-    assert len(exact._factorial) <= 1024
-    with pytest.raises(ValueError):
-        factorial(-1)

@@ -203,6 +203,13 @@ def test_zeta_m1_table_is_zeta_minus_one_and_stays_bounded():
     for bad in (1, 0, -4, 2.5, True, "2"):
         with pytest.raises(ValueError):
             table[bad]
+    # a key is checked on a miss only, as dict.__missing__ runs: 3.0 is
+    # refused before m = 3 is kept and reads m = 3 after
+    fresh = specfun._ZetaM1Table()
+    with pytest.raises(ValueError):
+        fresh[3.0]
+    assert 3 not in fresh and fresh.get(3) is None
+    assert fresh[3].hex() == fresh[3.0].hex() == zeta_minus_one(3.0).value.hex()
 
 
 @pytest.mark.parametrize("n", [2.5, True, "2"], ids=repr)
