@@ -32,8 +32,9 @@ from .specfun import (
     euler_gamma,
     riemann_zeta,
     zeta_even_float,
+    zeta_even_m1_float,
     zeta_even_table,
-    zeta_m1_table,
+    zeta_m1_float,
 )
 from .summation import CompensatedSum
 
@@ -189,17 +190,11 @@ def _series(id: str, paper_eq: str, description: str, term_fn: TermFn,
 
 def _scalar_entry(id: str, paper_eq: str, description: str, *, p: Callable[[int], float],
                   ratio: float, minus_one: bool = False, **fields) -> IdentityDescriptor:
-    """A scalar entry sum_n coeff(n) p(n) ratio^n, coeff(n) = zeta(2n), or zeta(2n) - 1 when minus_one.
-
-    coeff(n) reads specfun's tables without zeta_even_float's argument check:
-    zeta_m1_table() at m = 2n, or zeta_even_table() and 1.0 past it.
-    """
+    """A scalar entry sum_n coeff(n) p(n) ratio^n, coeff(n) = zeta(2n), or zeta(2n) - 1 when minus_one."""
     if minus_one:
-        zm1 = zeta_m1_table()
-        coeff, tail = (lambda n: zm1[2 * n]), _poly_geom_tail(p, ratio / 4.0, 2.0)
+        coeff, tail = zeta_even_m1_float, _poly_geom_tail(p, ratio / 4.0, 2.0)
     else:
-        coeff = lambda n: zeta_even_table()[n] if n < ZETA_EVEN_LEN else 1.0
-        tail = _poly_geom_tail(p, ratio, ZETA2)
+        coeff, tail = zeta_even_float, _poly_geom_tail(p, ratio, ZETA2)
 
     def term_fn(_param: int | None, n: int) -> float:
         return coeff(n) * p(n) * ratio ** n
@@ -265,11 +260,8 @@ def _binom_family(id: str, paper_eq: str, description: str, *, top_offset: int, 
         cap = (top + 2) * (top + 1) / ((top + 2 - m) * (top + 1 - m)) * ratio
         return cap * _WEIGHT[n] if weighted and n < ZETA_EVEN_LEN else cap
 
-    km1 = k_star - 1.0
-    km1_sq4 = km1 ** 2 / 4.0
-
-    def closure(m: int, N: int) -> tuple[int, float]:
-        """M, the first n > N with a nonzero binomial and cap(n) <= q_star, and cap(M).
+    def closure(m: int, N: int) -> int:
+        """M, the first n > N with a nonzero binomial and cap(n) <= q_star.
 
         The float test holds from M on, because cap never increases.  The
         walk starts at the floor of the larger real root y = T + 3/2 of
@@ -278,11 +270,11 @@ def _binom_family(id: str, paper_eq: str, description: str, *, top_offset: int, 
         exceeds q_star by at least one step's fall, far more than a rounding,
         so the start is at most M (one step short for most parameters).
         """
-        y = (k_star * m + math.sqrt(k_star * m * m + km1_sq4)) / km1
+        y = (k_star * m + math.sqrt(k_star * m * m + (k_star - 1.0) ** 2 / 4.0)) / (k_star - 1.0)
         n = max(N + 1, (m - top_offset + 1) // 2, int((y - 1.5 - top_offset) / 2.0))
-        while (cap := cap_at(m, n)) > q_star:
+        while cap_at(m, n) > q_star:
             n += 1
-        return n, cap
+        return n
 
     def scan_fn(param, N, size, limit, last):
         """The family's scan: a head loop, a replay of the head, then a steady loop.
@@ -297,7 +289,7 @@ def _binom_family(id: str, paper_eq: str, description: str, *, top_offset: int, 
         subnormal can round up to that); otherwise, or when num / n
         overflows, term_fn's division runs.
 
-        M = closure(m, N)[0] is found before any term.  The head loop
+        M = closure(m, N) is found before any term.  The head loop
         computes first..M; the replay sums first..M-1 with tail(M-1) =
         t(M)/(1 - cap(M)) and tail(n) = t(n+1) + tail(n+1) below (float sums
         of non-negative terms, so non-increasing).  The leading zero binomials
@@ -313,7 +305,7 @@ def _binom_family(id: str, paper_eq: str, description: str, *, top_offset: int, 
         """
         m = choose(param)
         first = max(N, (m - top_offset + 1) // 2)  # first n >= N with 2n + top_offset >= m
-        M, cap = closure(m, N)
+        M = closure(m, N)
         u = 2 * first + top_offset + 1
         v = u - m
         c = math.comb(u - 1, m)
@@ -332,7 +324,7 @@ def _binom_family(id: str, paper_eq: str, description: str, *, top_offset: int, 
             head.append(zetas[n] * q if n < known else q)
             c = c * ((u + 1) * u) // ((v + 1) * v)
             u, v, sc = u + 2, v + 2, sc * step
-        x = head[-1]
+        x, cap = head[-1], cap_at(m, M)
         tails = list(accumulate(reversed(head[:-1]), initial=x / (1.0 - cap)))  # tail(M-1)..tail(first-1)
         tail = tails.pop()
         tails.reverse()
@@ -370,7 +362,6 @@ def _binom_family(id: str, paper_eq: str, description: str, *, top_offset: int, 
                 yield n - 1, t, hi + lo, tail
             t = x
 
-    scan_fn.closure_point = lambda param, N: closure(choose(param), N)[0]  # the M of a scan from N
     return IdentityDescriptor(id=id, paper_eq=paper_eq, description=description,
                               term_fn=term_fn, scan_fn=scan_fn, **fields)
 
@@ -422,7 +413,6 @@ def _representation(id: str, paper_eq: str, description: str) -> IdentityDescrip
 
 def _build_registry() -> dict[str, IdentityDescriptor]:
     entries: list[IdentityDescriptor] = []
-    zm1 = zeta_m1_table()
 
     entries.append(_representation(
         "CL2_ACCEL_8", "Eq. (8)",
@@ -522,21 +512,21 @@ def _build_registry() -> dict[str, IdentityDescriptor]:
     entries.append(_series(
         "RZS_ONE", "Sec. 2.2",
         "sum_{m>=2} (zeta(m) - 1) = 1",
-        lambda _p, n: zm1[n + 1],
+        lambda _p, n: zeta_m1_float(n + 1),
         lambda N: 2.0 ** (-N),
         closed_fn=_f(1.0),
     ))
     entries.append(_series(
         "RZS_GAMMA", "Sec. 2.2",
         "sum_{m>=2} (zeta(m) - 1)/m = 1 - gamma",
-        lambda _p, n: zm1[n + 1] / (n + 1),
+        lambda _p, n: zeta_m1_float(n + 1) / (n + 1),
         lambda N: 2.0 ** (-N) / (N + 3),
         closed_fn=lambda _p: 1.0 - _const("gamma"),
     ))
     entries.append(_series(
         "RZS_LOG2", "Sec. 2.2",
         "sum_{n>=1} (zeta(2n) - 1)/n = log 2",
-        lambda _p, n: zm1[2 * n] / n,
+        lambda _p, n: zeta_even_m1_float(n) / n,
         lambda N: (2.0 / 3.0) * 4.0 ** (-N) / (N + 1),
         closed_fn=lambda _p: math.log(2.0),
     ))
@@ -717,7 +707,7 @@ def _resolve(key: CatalogKey, N: int | None = None) -> tuple[IdentityDescriptor,
     if entry.is_family:
         if key.param is None:
             raise ValueError(f"{key.id} needs parameter {entry.param_name}")
-        check_int(lambda: f"{key.id} parameter {entry.param_name}", key.param)
+        check_int(f"{key.id} parameter {entry.param_name}", key.param)
         if not (entry.param_min <= key.param <= PARAM_CAP):
             raise ValueError(
                 f"{key.id} parameter {entry.param_name} must be in [{entry.param_min}, {PARAM_CAP}]"

@@ -26,7 +26,7 @@ import threading
 from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -55,14 +55,10 @@ PI_ERR = 1.224646799147355e-16  # pi - math.pi = 1.2246467991473532e-16, rounded
 PI_REL_ERR = 3.9e-17  # (pi - math.pi)/pi = 3.8982e-17, rounded up
 
 
-def check_int(name: str | Callable[[], str], value) -> None:
-    """Raise ValueError unless value is an int; a bool is not one here.
-
-    name is the argument's name in the message, or a function that returns
-    it, called only on failure, for a caller whose name is built per call.
-    """
+def check_int(name: str, value) -> None:
+    """Raise ValueError unless value is an int; a bool is not one here."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name() if callable(name) else name} must be an int, not {value!r}")
+        raise ValueError(f"{name} must be an int, not {value!r}")
 
 
 def pi_poly(coeffs: dict[int, tuple[int, int]]) -> float:

@@ -15,8 +15,6 @@ import math
 import sys
 from collections import namedtuple
 from functools import lru_cache
-from types import MappingProxyType
-from typing import Mapping
 
 from .exact import PI_ERR, PI_REL_ERR, bernoulli_pair, check_int, pi_poly, zigzag
 
@@ -37,7 +35,7 @@ __all__ = [
     "zeta_even_float",
     "zeta_even_m1_float",
     "zeta_even_table",
-    "zeta_m1_table",
+    "zeta_m1_float",
     "ZETA_EVEN_LEN",
 ]
 
@@ -370,15 +368,12 @@ _ZETA_M1_ZERO_FROM = 1075
 
 
 class _ZetaM1Table(dict):
-    """zeta(m) - 1 keyed by int m >= 2, filled on each m's first read (see zeta_m1_table);
-    two threads that fill one m at once store equal floats."""
+    """zeta(m) - 1 by int m >= 2, unchecked (zeta_m1_float checks m); two
+    threads that fill one m at once store equal floats."""
 
     __slots__ = ()
 
     def __missing__(self, m: int) -> float:
-        check_int("m", m)
-        if m < 2:
-            raise ValueError("zeta(m) - 1 needs m >= 2")
         if m >= _ZETA_M1_ZERO_FROM:
             return 0.0
         value = self[m] = zeta_minus_one(float(m)).value
@@ -386,24 +381,15 @@ class _ZetaM1Table(dict):
 
 
 _ZETA_M1 = _ZetaM1Table()
-_ZETA_M1_VIEW = MappingProxyType(_ZETA_M1)
 
 
-def zeta_m1_table() -> Mapping[int, float]:
-    """The one table of zeta(m) - 1 at integer m >= 2, read-only.
-
-    table[m] for an int m >= 2 is zeta_minus_one(float(m)).value, bit for
-    bit; each m is computed on its first read and kept, up to m = 1074.  From
-    m = 1075 on, where that value is +0.0, a read returns +0.0 and keeps
-    nothing.  The catalogue's zeta(m) - 1 series and zeta_even_m1_float all
-    read it.
-
-    Keys are int m >= 2, and, as in any dict, a key is checked only on a
-    miss: reading an m not yet kept raises ValueError unless m is such an
-    int, but a key equal to a kept m (3.0 once m = 3 is read) reads that m.
-    len, `in`, iteration and get see only the m kept so far.
-    """
-    return _ZETA_M1_VIEW
+def zeta_m1_float(m: int) -> float:
+    """zeta(m) - 1 as a float for an int m >= 2: zeta_minus_one(float(m)).value, bit
+    for bit, kept on first read up to m = 1074; +0.0 from m = 1075, kept nowhere."""
+    check_int("m", m)
+    if m < 2:
+        raise ValueError("zeta_m1_float requires m >= 2")
+    return _ZETA_M1[m]
 
 
 def _zeta_even_m1(n: int) -> float:
@@ -412,7 +398,7 @@ def _zeta_even_m1(n: int) -> float:
 
 
 def zeta_even_m1_float(n: int) -> float:
-    """zeta(2n) - 1 as a float at full relative precision, n >= 1: zeta_m1_table()[2n],
+    """zeta(2n) - 1 as a float at full relative precision, n >= 1: zeta_m1_float(2n),
     +0.0 from n = 538."""
     check_int("n", n)
     if n < 1:

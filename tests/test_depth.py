@@ -182,7 +182,13 @@ def test_family_closure_point_is_the_first_n_rule(id_):
     # the scan finds M before computing any term, which rests on the float
     # cap never increasing in n: check that premise with Reference's cap in a
     # plain loop from the first nonzero binomial to past M, then check the
-    # scan's M against the first-n rule from several N around first and M
+    # scan's M through its bits from several N around first and M: the tail
+    # at N sums the terms up to M and closes there, so it is Reference's
+    # tail(N), bit for bit, only when both close at the same M.  Reference
+    # takes its terms through closure + 2 from the scan from start_index,
+    # which test_family_table_matches_term_fn_up_to_cap checks against
+    # term_fn bit for bit, so that its tails cost no math.comb here; below
+    # its M from start_index, tail(N) is an entry of its tails from there
     entry = catalog.get(id_)
     q_star = 0.2 if FAMILY_SHAPES[id_][2] == 16 else 0.5
     start = entry.start_index
@@ -194,13 +200,13 @@ def test_family_closure_point_is_the_first_n_rule(id_):
             caps.append(ref._cap(first + len(caps)))
         assert all(c1 <= c0 for c0, c1 in zip(caps, caps[1:])), p
         closure = first + next(i for i, c in enumerate(caps) if c <= q_star)
+        ref._terms.update(zip(count(start), (t for t, _ in islice(_steps(entry, p, start), closure + 3 - start))))
+        tails = ref.tails(start)
         for N in {start, first - 1, first, first + 1, closure - 1, closure, closure + 1}:
             if N < start:
                 continue
-            n = max(N + 1, first)
-            while caps[n - first] > q_star:
-                n += 1
-            assert entry.scan_fn.closure_point(p, N) == n, (p, N)
+            want = tails[N - start] if N - start < len(tails) else ref.tails(N)[0]
+            assert next(_steps(entry, p, N))[1].hex() == want.hex(), (p, N)
 
 
 @pytest.mark.parametrize("b", (2, 4))
@@ -360,7 +366,8 @@ def _scan_lines():
     """float.hex lines of each family scan_fn(p, N, 1.0, limit, last), for N
     at the start, inside the zero block and at its end, and for last below
     N, inside the zero block, just before first, between first and M - 1,
-    at M - 1, at M and past M (M the scan's closure point from N)."""
+    at M - 1, at M and past M (M the closure point from N, by Reference's
+    first-n rule)."""
     lines = []
     for id_ in FAMILY_IDS:
         entry = catalog.get(id_)
@@ -369,7 +376,7 @@ def _scan_lines():
             block_end = next(n for n in count(entry.start_index) if ref.nonzero(n))
             for N in sorted({entry.start_index, (entry.start_index + block_end) // 2, block_end}):
                 first = max(N, block_end)
-                M = entry.scan_fn.closure_point(p, N)
+                M = N + len(ref.tails(N))
                 lasts = {N - 1, N, (N + first) // 2, first - 1, first, (first + M) // 2, M - 1, M, M + 1, M + 4}
                 for limit in (math.inf, 1e-13):
                     for last in sorted(lasts):
@@ -608,7 +615,7 @@ def test_zeta_even_table_builds_alike_under_threads():
     keys += [CatalogKey(id_) for id_ in ("RZS_ONE", "RZS_GAMMA", "RZS_LOG2", "ZETA3_20")]
     specfun._ZETA_M1.clear()  # so that it holds just what these keys read
     expected = [catalog.evaluate(key, 1e-13) for key in keys]
-    table, m1_table = specfun.zeta_even_table(), dict(specfun.zeta_m1_table())
+    table, m1_table = specfun.zeta_even_table(), dict(specfun._ZETA_M1)
     interval = sys.getswitchinterval()
     for _ in range(5):  # fresh tables each round
         specfun.zeta_even_table.cache_clear()
@@ -632,7 +639,7 @@ def test_zeta_even_table_builds_alike_under_threads():
         assert len(results) == 8 and all(got == expected for got in results.values())
         assert specfun.zeta_even_table() == table
         assert len(table) == specfun.ZETA_EVEN_LEN
-        assert dict(specfun.zeta_m1_table()) == m1_table
+        assert dict(specfun._ZETA_M1) == m1_table
 
 
 def _weight(n):

@@ -31,7 +31,7 @@ from zetakit.specfun import (
     zeta_even_float,
     zeta_even_m1_float,
     zeta_even_table,
-    zeta_m1_table,
+    zeta_m1_float,
     zeta_minus_one,
 )
 from zetakit.summation import CompensatedSum
@@ -180,36 +180,32 @@ def test_zeta_even_m1_float_is_zero_from_538_and_caches_no_more():
     assert sum(1 for m in specfun._ZETA_M1 if m % 2 == 0) <= 537
 
 
-def test_zeta_m1_table_is_zeta_minus_one_and_stays_bounded():
-    # one table serves zeta(m) - 1 at every integer m: the rational zeta
+def test_zeta_m1_float_is_zeta_minus_one_and_stays_bounded():
+    # one function serves zeta(m) - 1 at every integer m: the rational zeta
     # series read it at m = n + 1, and zeta_even_m1_float and the catalogue's
-    # zeta(2n) - 1 terms at m = 2n.  Each value is zeta_minus_one's, bit for
-    # bit; from m = 1075 on that is +0.0 (each head term is at most 2^-1075,
-    # a tie that rounds to 0.0), and the table returns it without keeping it
-    table = zeta_m1_table()
+    # zeta(2n) - 1 terms read its table at m = 2n.  Each value is
+    # zeta_minus_one's, bit for bit; from m = 1075 on that is +0.0 (each head
+    # term is at most 2^-1075, a tie that rounds to 0.0), returned unkept
     assert zeta_minus_one(1074.0).value == math.ldexp(1.0, -1074)
     assert zeta_minus_one(1075.0).value == 0.0
     rng = random.Random(1075)
     sampled = [rng.randrange(1101, 10 ** k) for k in range(4, 16) for _ in range(20)]
     for m in (*range(2, 1101), *sampled, 10 ** 15):
-        assert table[m].hex() == zeta_minus_one(float(m)).value.hex(), m
+        assert zeta_m1_float(m).hex() == zeta_minus_one(float(m)).value.hex(), m
     for _ in itertools.islice(catalog.partial_sums(catalog.CatalogKey("RZS_ONE")), 5000):
         pass
     for _ in itertools.islice(catalog.partial_sums(catalog.CatalogKey("RZS_GAMMA")), 5000):
         pass
     assert set(specfun._ZETA_M1) <= set(range(2, 1075))
-    with pytest.raises(TypeError):
-        table[3] = 0.0  # a read-only view
-    for bad in (1, 0, -4, 2.5, True, "2"):
-        with pytest.raises(ValueError):
-            table[bad]
-    # a key is checked on a miss only, as dict.__missing__ runs: 3.0 is
-    # refused before m = 3 is kept and reads m = 3 after
-    fresh = specfun._ZetaM1Table()
+
+
+@pytest.mark.parametrize("bad", [1, 0, -4, 2.5, 3.0, True, "2"], ids=repr)
+def test_zeta_m1_float_takes_only_an_int_from_2(bad):
+    # m is checked on every read, whatever the table holds: 3.0 is refused
+    # with m = 3 kept
+    assert zeta_m1_float(3).hex() == zeta_minus_one(3.0).value.hex()
     with pytest.raises(ValueError):
-        fresh[3.0]
-    assert 3 not in fresh and fresh.get(3) is None
-    assert fresh[3].hex() == fresh[3.0].hex() == zeta_minus_one(3.0).value.hex()
+        zeta_m1_float(bad)
 
 
 @pytest.mark.parametrize("n", [2.5, True, "2"], ids=repr)
