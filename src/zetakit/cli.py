@@ -7,6 +7,7 @@ published-variant discrepancies), 2 usage error, 3 inconclusive checks.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from typing import TYPE_CHECKING
 
@@ -59,6 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="zeta3: catalog id, apery/ewell/cvijovic-klinowski, or direct; "
                                 "cl2: direct/accel/peeled/wzl/auto")
     p_compute.add_argument("--tol", type=_tolerance, default=1e-10)
+    # argparse takes a token that starts with '-' for an option unless this pattern
+    # matches it; the stock one has no exponent, and refused --theta -1e6 and -5e-324
+    p_compute._negative_number_matcher = re.compile(r"-\.?\d")
 
     p_verify = sub.add_parser("verify", help="verify catalogued identities")
     group = p_verify.add_mutually_exclusive_group(required=True)

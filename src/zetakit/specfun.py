@@ -345,17 +345,12 @@ def zeta_even_table() -> tuple[float, ...]:
                     for n in range(1, ZETA_EVEN_LEN)))
 
 
-def _zeta_even(n: int) -> float:
-    # zeta_even_float for an int n >= 0, unchecked: the Cl2 series loop reads it per term
-    return zeta_even_table()[n] if n < ZETA_EVEN_LEN else 1.0
-
-
 def zeta_even_float(n: int) -> float:
     """zeta(2n) as a float, with zeta(0) = -1/2 at n = 0: zeta_even_table()[n], then 1.0."""
     check_int("n", n)
     if n < 0:
         raise ValueError("zeta_even_float requires n >= 0")
-    return _zeta_even(n)
+    return zeta_even_table()[n] if n < ZETA_EVEN_LEN else 1.0
 
 
 # From m = 1075 on, zeta_minus_one(m) is +0.0: each head term (k + 2)^-m is at
@@ -392,18 +387,13 @@ def zeta_m1_float(m: int) -> float:
     return _ZETA_M1[m]
 
 
-def _zeta_even_m1(n: int) -> float:
-    # zeta_even_m1_float for an int n >= 1, unchecked: the Cl2 series loop reads it per term
-    return _ZETA_M1[2 * n]
-
-
 def zeta_even_m1_float(n: int) -> float:
     """zeta(2n) - 1 as a float at full relative precision, n >= 1: zeta_m1_float(2n),
     +0.0 from n = 538."""
     check_int("n", n)
     if n < 1:
         raise ValueError("zeta_even_m1_float requires n >= 1")
-    return _zeta_even_m1(n)
+    return _ZETA_M1[2 * n]
 
 
 # --- Clausen function Cl2 ---------------------------------------------------
@@ -480,33 +470,38 @@ def _peeled_head(r: float) -> tuple[float, float]:
 # decay like 4^-n.  The tail after term n is majorised by
 #   major q^(n+1) / rho^(n+1) / ((a n + 1)(2n + 3)(1 - q/rho)) r,
 # from zeta(2n) <= zeta(2) and zeta(2n) - 1 <= 2 * 4^-n (n >= 2).
-# Row: (c, a, peeled coefficients, rho, major, min_n, head).
+# Row: (c, a, the checked view that gives z(n), rho, major, min_n, head).
 _CL2_SERIES = {
-    "accel": (1.0, 1, False, 1.0, ZETA2, 1, _accel_head),
-    "wzl": (-2.0, 0, False, 1.0, 2.0 * ZETA2, 1, _wzl_head),
-    "peeled": (1.0, 1, True, 4.0, 2.0, 2, _peeled_head),
+    "accel": (1.0, 1, zeta_even_float, 1.0, ZETA2, 1, _accel_head),
+    "wzl": (-2.0, 0, zeta_even_float, 1.0, 2.0 * ZETA2, 1, _wzl_head),
+    "peeled": (1.0, 1, zeta_even_m1_float, 4.0, 2.0, 2, _peeled_head),
 }
 
 
+@lru_cache(maxsize=None)
+def _cl2_coefficients(method: str) -> tuple[float, ...]:
+    """z(n) / ((a n + 1 - a)(2n + 1)) for n = 1 .. 64, built on first use; on the reduced
+    r in (0, pi] the series stops by n = 24 (accel), 27 (wzl) and 12 (peeled)."""
+    a, z = _CL2_SERIES[method][1:3]
+    return tuple(z(n) / ((a * n + 1 - a) * (2 * n + 1)) for n in range(1, 65))
+
+
 def _cl2_series(r: float, method: str) -> EvalResult:
-    c, a, peeled, rho, major, min_n, head_fn = _CL2_SERIES[method]
-    coef = _zeta_even_m1 if peeled else _zeta_even
+    c, a, _, rho, major, min_n, head_fn = _CL2_SERIES[method]
     q = (r / TWO_PI) ** 2
     ratio = 1.0 - q / rho
     step = 1.0 / rho  # exact: rho is 1 or 4
     major *= step  # major / rho^(n+1), exact
     hi = lo = 0.0  # a CompensatedSum, inlined: each term is +0.0 or above, so |hi| >= |t| is hi >= t
     qpow = 1.0
-    weight = 3  # (a n + 1 - a)(2n + 1) at n = 1
-    for n in range(1, 401):
+    for n, coef in enumerate(_cl2_coefficients(method), 1):
         qpow *= q
         major *= step
-        t = coef(n) / weight * qpow
+        t = coef * qpow
         u = hi + t
         lo += (hi - u) + t if hi >= t else (t - u) + hi
         hi = u
-        weight = (a * n + 1) * (2 * n + 3)  # the weight of term n + 1
-        tail = major * qpow * q / (weight * ratio) * r
+        tail = major * qpow * q / ((a * n + 1) * (2 * n + 3) * ratio) * r
         if tail <= 1e-17 and n >= min_n:
             break
     head, head_mag = head_fn(r)

@@ -34,6 +34,18 @@ def test_compute_cl2_quarter_turn(capsys):
     assert out.startswith("value=0.915965594177219")
 
 
+@pytest.mark.parametrize("theta, out", [
+    ("-1e6", "value=0.7259329597963965 terms_used=5 error_bound=4.030e-11\n"),
+    ("-5e-324", "value=-3.680789061517287e-321 terms_used=1 error_bound=7.905e-323\n"),
+    ("-3.0", "value=-0.0980262093913018 terms_used=25 error_bound=6.251e-15\n"),
+], ids=["-1e6", "-5e-324", "-3.0"])
+def test_compute_cl2_takes_a_negative_theta_in_either_form(capsys, theta, out):
+    # argparse's stock negative-number pattern has no exponent, so it once took
+    # the -1e6 of `--theta -1e6` for an option and exited 2
+    assert run(capsys, "compute", "cl2", f"--theta={theta}") == (0, out)
+    assert run(capsys, "compute", "cl2", "--theta", theta) == (0, out)
+
+
 def test_compute_beta_three(capsys):
     code, out = run(capsys, "compute", "beta", "3")
     assert code == 0

@@ -609,22 +609,32 @@ def test_family_terms_and_tails_are_non_negative(id_):
 
 def test_zeta_even_table_builds_alike_under_threads():
     # the scans read one zeta(2n) table, built on first use, and one zeta(m) - 1
-    # table, filled per m: threads that fill them at once must each get the
-    # tables and the results a single thread gets
+    # table, filled per m, and the Cl2 series its per-method coefficient table,
+    # built from both: threads that fill them at once must each get the tables
+    # and the results a single thread gets
     keys = [CatalogKey(id_, p) for id_ in FAMILY_IDS for p in (1, 8, 64)]
     keys += [CatalogKey(id_) for id_ in ("RZS_ONE", "RZS_GAMMA", "RZS_LOG2", "ZETA3_20")]
-    specfun._ZETA_M1.clear()  # so that it holds just what these keys read
-    expected = [catalog.evaluate(key, 1e-13) for key in keys]
+    methods = ("accel", "wzl", "peeled")
+
+    def run():
+        return ([catalog.evaluate(key, 1e-13) for key in keys]
+                + [specfun.clausen_cl2(3.0, method) for method in methods])
+
+    specfun._cl2_coefficients.cache_clear()
+    specfun._ZETA_M1.clear()  # so that it holds just what these keys and the Cl2 tables read
+    expected = run()
     table, m1_table = specfun.zeta_even_table(), dict(specfun._ZETA_M1)
+    cl2_tables = [specfun._cl2_coefficients(method) for method in methods]
     interval = sys.getswitchinterval()
     for _ in range(5):  # fresh tables each round
         specfun.zeta_even_table.cache_clear()
+        specfun._cl2_coefficients.cache_clear()
         specfun._ZETA_M1.clear()
         results, start = {}, threading.Barrier(8)
 
         def worker(i):
-            start.wait(timeout=60)  # every thread builds the table at once
-            results[i] = [catalog.evaluate(key, 1e-13) for key in keys]
+            start.wait(timeout=60)  # every thread builds the tables at once
+            results[i] = run()
 
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
         sys.setswitchinterval(1e-6)
@@ -640,6 +650,7 @@ def test_zeta_even_table_builds_alike_under_threads():
         assert specfun.zeta_even_table() == table
         assert len(table) == specfun.ZETA_EVEN_LEN
         assert dict(specfun._ZETA_M1) == m1_table
+        assert [specfun._cl2_coefficients(method) for method in methods] == cl2_tables
 
 
 def _weight(n):

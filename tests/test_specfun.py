@@ -623,6 +623,22 @@ def test_cl2_keeps_its_bits():
     assert digest.hexdigest() == "ec1f6df584abbdc12f7a6ba636442af93362e6608f4d7f3db5884e16d6d62db4"
 
 
+@pytest.mark.parametrize("method, depth", [("accel", 24), ("wzl", 27), ("peeled", 12)])
+def test_cl2_series_stops_before_its_table_ends(method, depth):
+    # the series loop runs over its 64-entry coefficient table: on every
+    # reduced angle r in (0, pi] its stop rule fires first, so the table's
+    # length sets no output.  The deepest r is pi, where q = 1/4.
+    specfun._cl2_coefficients.cache_clear()
+    specfun._ZETA_M1.clear()
+    table = specfun._cl2_coefficients(method)
+    assert len(table) == 64
+    # the peeled table reads zeta(m) - 1 at m = 2n <= 128 and keeps no more
+    assert set(specfun._ZETA_M1) == (set(range(2, 129, 2)) if method == "peeled" else set())
+    grid = [PI * j / 8192 for j in range(1, 8192)] + [2.0 ** -k for k in range(1, 1075)] + [PI]
+    assert max(specfun._cl2_series(r, method).terms_used for r in grid) == depth < len(table)
+    assert specfun._cl2_series(PI, method).terms_used == depth
+
+
 def test_cl2_direct_default_depth():
     grid = [0.05 + i * (2 * PI - 0.1) / 15 for i in range(16)]
     grid += [1e-3, -0.0011, 6.2455, 3 * PI + 1e-9, 1e4, 1e6]
