@@ -243,104 +243,52 @@ def _binom_family(id: str, paper_eq: str, description: str, *, top_offset: int, 
         # int / int is correctly rounded (OverflowError past float range)
         return zeta_even_float(n) * (num / den)
 
-    def cap_at(m: int, n: int) -> float:
-        """cap(n): bounds t(j+1)/t(j) for j >= n and never increases in n.
-
-        At T = 2n + top_offset it is grow / shrink * ratio, times the weight
-        when weighted, with grow = (T+2)(T+1) and shrink = (T+2-m)(T+1-m).
-        That is, bit for bit, the float ratio * (T+2) * (T+1) / shrink: ratio
-        is a power of two and grow < 2^53, so the product is exactly ratio *
-        grow, and dividing it rounds as the correctly rounded int quotient
-        grow / shrink does, scaled by ratio.  grow reaches 2^53 only past n =
-        4.7e7, where every term is 0.0 and cap < ratio * (1 + 2e-5).
-        grow / shrink falls strictly as n grows, the weight tuple falls, and
-        rounding is monotone.
-        """
-        top = 2 * n + top_offset
-        cap = (top + 2) * (top + 1) / ((top + 2 - m) * (top + 1 - m)) * ratio
-        return cap * _WEIGHT[n] if weighted and n < ZETA_EVEN_LEN else cap
-
-    def closure(m: int, N: int) -> int:
-        """M, the first n > N with a nonzero binomial and cap(n) <= q_star.
-
-        The float test holds from M on, because cap never increases.  The
-        walk starts at the floor of the larger real root y = T + 3/2 of
-        (y+1/2)(y-1/2) = k_star ((y-m)^2 - 1/4), where cap without the weight
-        (which is above 1) equals q_star.  Below that start the real cap
-        exceeds q_star by at least one step's fall, far more than a rounding,
-        so the start is at most M (one step short for most parameters).
-        """
-        y = (k_star * m + math.sqrt(k_star * m * m + (k_star - 1.0) ** 2 / 4.0)) / (k_star - 1.0)
-        n = max(N + 1, (m - top_offset + 1) // 2, int((y - 1.5 - top_offset) / 2.0))
-        while cap_at(m, n) > q_star:
-            n += 1
-        return n
-
     def scan_fn(param, N, size, limit, last):
-        """The family's scan: a head loop, a replay of the head, then a steady loop.
+        """The one loop over n from first, the first n >= N with C(T, m) > 0.
 
-        math.comb runs once; later binomials follow exactly from C(T+2, m) =
-        C(T, m) grow / shrink, with grow = (u+1) u and shrink = (v+1) v for
-        u = T+1 and v = T+1-m.  term_fn's quotient num / (n << shift*n) is
-        correctly rounded, and sc = 2^(-shift*n) is a float down to 2^-1074
-        (each step multiplies it by 2^-shift exactly; below that it is 0.0).
-        A float times a power of two is exact wherever the product is normal,
-        so num / n * sc is term_fn's quotient above the least normal (a
-        subnormal can round up to that); otherwise, or when num / n
-        overflows, term_fn's division runs.
+        math.comb runs once; then C(T+2, m) = C(T, m) grow / shrink, with
+        grow = (u+1) u and shrink = (v+1) v for u = T+1 and v = T+1-m.  The
+        scale sc = 2^(-shift*n) is exact down to 2^-1074, and a float times a
+        power of two is exact where the product is normal, so num / n * sc is
+        term_fn's correctly rounded num / (n << shift*n) above the least
+        normal (a subnormal can round up to it); at or below it, or when
+        num / n overflows, term_fn's division runs.
 
-        M = closure(m, N) is found before any term.  The head loop
-        computes first..M; the replay sums first..M-1 with tail(M-1) =
-        t(M)/(1 - cap(M)) and tail(n) = t(n+1) + tail(n+1) below (float sums
-        of non-negative terms, so non-increasing).  The leading zero binomials
-        N..first-1 share tail(first-1), so the stop rule passes or fails them
-        alike, and their sum is +0.0.  last bounds every loop but the head's.
-        Past M the steady loop closes tail(n) at n+1; a term that underflows
-        to 0.0 closes with tail 0 (the true tail is below 1e-300).  Every term is
-        zeta(2n) C(.,.) (1 - 4^-n)^{0,1} / (n inv_pow^n) with n >= 1, so it,
-        each tail and each sum is +0.0 or above and takes no abs() (abs(x) is
-        x there, bit for bit).  zeta(2n) and the weight are 1.0 past their
-        tables, and 1.0 * q is q.  The term body stays inline: a call costs
-        more.
+        cap(n) = grow / shrink * ratio, times the weight when weighted, bounds
+        t(j+1)/t(j) for j >= n.  It is the correctly rounded int quotient
+        times a power of two (grow < 2^53 up to n = 4.7e7, past every nonzero
+        term), and it never increases: grow / shrink and the weight tuple
+        fall, and rounding is monotone.  So the closure point M, the first
+        n > N with a nonzero binomial and cap(n) <= q_star, is the first n to
+        pass that test from any start at or below M, and terms before the
+        start enter the head untested.  The start is at least N + 1, first
+        and the floor of the larger real root y = T + 3/2 of (y+1/2)(y-1/2) =
+        k_star ((y-m)^2 - 1/4), where the unweighted cap (the weight is above
+        1) is q_star; below it cap exceeds q_star by at least one step's fall,
+        far more than a rounding.
+
+        At M the head t(first)..t(M-1) is replayed with tail(M-1) =
+        t(M)/(1 - cap(M)) and tail(n) = t(n+1) + tail(n+1) below; the zero
+        binomials N..first-1 share tail(first-1) and sum to +0.0.  Past M each
+        step closes the tail of t(n-1) at t(n); a term that underflows to 0.0
+        closes with tail 0 (the true tail is below 1e-300).  Every term, tail
+        and sum is +0.0 or above, so none takes abs(); zeta(2n) and the weight
+        are 1.0 past their tables.  The term body stays inline: a call costs more.
         """
         m = choose(param)
         first = max(N, (m - top_offset + 1) // 2)  # first n >= N with 2n + top_offset >= m
-        M = closure(m, N)
+        y = (k_star * m + math.sqrt(k_star * m * m + (k_star - 1.0) ** 2 / 4.0)) / (k_star - 1.0)
+        start = max(N + 1, first, int((y - 1.5 - top_offset) / 2.0))
         u = 2 * first + top_offset + 1
         v = u - m
         c = math.comb(u - 1, m)
         zetas, weights, known = zeta_even_table(), _WEIGHT, ZETA_EVEN_LEN
         tiny, floor = _MIN_NORMAL, TAIL_FLOOR
         sc, step = math.ldexp(1.0, -shift * first), 0.5 ** shift
-        head = []  # t(first)..t(M)
-        for n in range(first, M + 1):
+        head, M, stop = [], sys.maxsize, last + 1  # head: t(first)..t(M-1); M is sys.maxsize until found
+        hi = lo = 0.0  # a CompensatedSum, inlined: this loop is nearly all of a deep verify_all
+        for n in range(first, sys.maxsize):
             num = (c << 2 * n) - c if weighted else c  # c (4^n - 1)
-            try:
-                q = num / n * sc
-            except OverflowError:  # num past about 1024 bits
-                q = _wide_quotient(num, n, shift * n)
-            if q <= tiny:
-                q = num / (n << shift * n)
-            head.append(zetas[n] * q if n < known else q)
-            c = c * ((u + 1) * u) // ((v + 1) * v)
-            u, v, sc = u + 2, v + 2, sc * step
-        x, cap = head[-1], cap_at(m, M)
-        tails = list(accumulate(reversed(head[:-1]), initial=x / (1.0 - cap)))  # tail(M-1)..tail(first-1)
-        tail = tails.pop()
-        tails.reverse()
-        if size * (tail + floor) <= limit:  # the zero block N..first-1 shares tail(first-1)
-            for j in range(N, min(first, last + 1)):
-                yield j, 0.0, 0.0, tail
-        hi = lo = 0.0  # a CompensatedSum, inlined: these loops are nearly all of a deep verify_all
-        for j, t, tail in zip(range(first, last + 1), head, tails):
-            s = hi + t
-            lo += (hi - s) + t if hi >= t else (t - s) + hi
-            hi = s
-            if size * (tail + floor) <= limit:
-                yield j, t, hi + lo, tail
-        t = x
-        for n in range(M + 1, last + 2):  # yields j = n - 1
-            num = (c << 2 * n) - c if weighted else c
             try:
                 q = num / n * sc
             except OverflowError:  # num past about 1024 bits
@@ -349,17 +297,38 @@ def _binom_family(id: str, paper_eq: str, description: str, *, top_offset: int, 
                 q = num / (n << shift * n)
             x = zetas[n] * q if n < known else q
             grow, shrink = (u + 1) * u, (v + 1) * v
-            cap = grow / shrink * ratio  # cap_at(m, n), inline
-            if weighted and n < known:
-                cap *= weights[n]
             c = c * grow // shrink
             u, v, sc = u + 2, v + 2, sc * step
-            s = hi + t
-            lo += (hi - s) + t if hi >= t else (t - s) + hi
-            hi = s
-            tail = x / (1.0 - cap)
-            if size * (tail + floor) <= limit:
-                yield n - 1, t, hi + lo, tail
+            if n < start:
+                head.append(x)
+                continue
+            cap = grow / shrink * ratio
+            if weighted and n < known:
+                cap *= weights[n]
+            if n > M:  # yields n - 1
+                if n > stop:
+                    return
+                s = hi + t
+                lo += (hi - s) + t if hi >= t else (t - s) + hi
+                hi = s
+                tail = x / (1.0 - cap)
+                if size * (tail + floor) <= limit:
+                    yield n - 1, t, hi + lo, tail
+            elif cap > q_star:
+                head.append(x)
+                continue
+            else:
+                M = n
+                *tails, tail = accumulate(reversed(head), initial=x / (1.0 - cap))  # tail(M-1)..tail(first-1)
+                if size * (tail + floor) <= limit:  # the zero block N..first-1 shares tail(first-1)
+                    for j in range(N, min(first, stop)):
+                        yield j, 0.0, 0.0, tail
+                for j, t, tail in zip(range(first, stop), head, reversed(tails)):
+                    s = hi + t
+                    lo += (hi - s) + t if hi >= t else (t - s) + hi
+                    hi = s
+                    if size * (tail + floor) <= limit:
+                        yield j, t, hi + lo, tail
             t = x
 
     return IdentityDescriptor(id=id, paper_eq=paper_eq, description=description,

@@ -61,8 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 "cl2: direct/accel/peeled/wzl/auto")
     p_compute.add_argument("--tol", type=_tolerance, default=1e-10)
     # argparse takes a token that starts with '-' for an option unless this pattern
-    # matches it; the stock one has no exponent, and refused --theta -1e6 and -5e-324
-    p_compute._negative_number_matcher = re.compile(r"-\.?\d")
+    # matches it; the stock one has no exponent and no -inf or -nan (spelt as float()
+    # takes them), and refused --theta -1e6, -5e-324 and -inf
+    p_compute._negative_number_matcher = re.compile(r"-\.?\d|-(inf|infinity|nan)$", re.IGNORECASE)
 
     p_verify = sub.add_parser("verify", help="verify catalogued identities")
     group = p_verify.add_mutually_exclusive_group(required=True)

@@ -46,6 +46,26 @@ def test_compute_cl2_takes_a_negative_theta_in_either_form(capsys, theta, out):
     assert run(capsys, "compute", "cl2", "--theta", theta) == (0, out)
 
 
+@pytest.mark.parametrize("text", ["-inf", "-nan", "-Infinity", "-NaN", "-INF"])
+def test_compute_takes_negative_inf_and_nan_as_values(capsys, text):
+    # they once read as options: --theta -inf exited with "expected one
+    # argument" and zeta -inf with "unrecognized arguments"; both spellings of
+    # each now reach the finiteness check, since float() takes the text
+    for spellings, message in (
+        ((["cl2", f"--theta={text}"], ["cl2", "--theta", text]), "theta must be finite"),
+        ((["zeta", "--", text], ["zeta", text]), "s must be finite"),
+    ):
+        results = []
+        for argv in spellings:
+            with pytest.raises(SystemExit) as exc:
+                main(["compute", *argv])
+            captured = capsys.readouterr()
+            results.append((exc.value.code, captured.out, captured.err))
+        assert results[0] == results[1], spellings
+        code, out, err = results[0]
+        assert (code, out) == (2, "") and err.endswith(f"zetakit: error: {message}\n"), spellings
+
+
 def test_compute_beta_three(capsys):
     code, out = run(capsys, "compute", "beta", "3")
     assert code == 0

@@ -179,16 +179,19 @@ def test_family_table_matches_term_fn_up_to_cap(id_):
 
 @pytest.mark.parametrize("id_", FAMILY_IDS)
 def test_family_closure_point_is_the_first_n_rule(id_):
-    # the scan finds M before computing any term, which rests on the float
-    # cap never increasing in n: check that premise with Reference's cap in a
-    # plain loop from the first nonzero binomial to past M, then check the
-    # scan's M through its bits from several N around first and M: the tail
-    # at N sums the terms up to M and closes there, so it is Reference's
-    # tail(N), bit for bit, only when both close at the same M.  Reference
-    # takes its terms through closure + 2 from the scan from start_index,
-    # which test_family_table_matches_term_fn_up_to_cap checks against
-    # term_fn bit for bit, so that its tails cost no math.comb here; below
-    # its M from start_index, tail(N) is an entry of its tails from there
+    # the scan tests cap only from a start point on and takes the first n
+    # that passes as M, which rests on the float cap never increasing in n:
+    # check that premise with Reference's cap in a plain loop from the first
+    # nonzero binomial to past M, then check the scan's M through its bits
+    # from several N around first and M, and from every N from first - 1 to
+    # M + 1 at params up to 64 and at 128, 200 and 256, so that the scan's
+    # start point, which moves with N, takes every value up to past M: the
+    # tail at N sums the terms up to M and closes there, so it is
+    # Reference's tail(N), bit for bit, only when both close at the same M.
+    # Reference takes its terms through closure + 2 from the scan from
+    # start_index, which test_family_table_matches_term_fn_up_to_cap checks
+    # against term_fn bit for bit, so that its tails cost no math.comb here;
+    # below its M from start_index, tail(N) is an entry of its tails from there
     entry = catalog.get(id_)
     q_star = 0.2 if FAMILY_SHAPES[id_][2] == 16 else 0.5
     start = entry.start_index
@@ -202,7 +205,10 @@ def test_family_closure_point_is_the_first_n_rule(id_):
         closure = first + next(i for i, c in enumerate(caps) if c <= q_star)
         ref._terms.update(zip(count(start), (t for t, _ in islice(_steps(entry, p, start), closure + 3 - start))))
         tails = ref.tails(start)
-        for N in {start, first - 1, first, first + 1, closure - 1, closure, closure + 1}:
+        Ns = {start, first - 1, first, first + 1, closure - 1, closure, closure + 1}
+        if p <= 64 or p in (128, 200, 256):
+            Ns.update(range(first - 1, closure + 2))
+        for N in Ns:
             if N < start:
                 continue
             want = tails[N - start] if N - start < len(tails) else ref.tails(N)[0]
