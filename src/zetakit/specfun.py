@@ -232,6 +232,10 @@ def dirichlet_beta(s: float) -> EvalResult:
 
     s = 1 returns pi/4 (the alternating-odd series limit).  From s = 512, where
     4^s overflows, it returns 1.0: beta(s) = 1 - 3^-s + 5^-s - ... is within 3^-s.
+    Below it, both Hurwitz series run _power_sum's float operations in one pass
+    (bit for bit two hurwitz_zeta calls).  Where x^(-s-1) is 0.0, _power_sum
+    skips the corrections; here each is summed as +-0.0, since s < 512 keeps
+    the rising factorial finite.
     """
     if not (s >= 1.0 and math.isfinite(s)):
         raise ValueError("dirichlet_beta requires finite s >= 1")
@@ -239,12 +243,37 @@ def dirichlet_beta(s: float) -> EvalResult:
         return EvalResult(math.pi / 4.0, 0, _ULPS * math.pi / 4.0)
     if s >= 512.0:
         return EvalResult(1.0, 1, _ULPS)
-    h14 = hurwitz_zeta(s, 0.25)
-    h34 = hurwitz_zeta(s, 0.75)
-    scale = 4.0 ** (-s)
-    value = scale * (h14.value - h34.value)
-    bound = scale * (h14.error_bound + h34.error_bound) + _ULPS * abs(value)
-    return EvalResult(value, h14.terms_used + h34.terms_used, bound)
+    hi1 = lo1 = hi3 = lo3 = 0.0  # suffix 1 for a = 1/4, 3 for a = 3/4
+    neg_s = -s
+    for n in range(_EM_HEAD):
+        t = (n + 0.25) ** neg_s
+        u = hi1 + t
+        lo1 += (hi1 - u) + t if hi1 >= t else (t - u) + hi1
+        hi1 = u
+        t = (n + 0.75) ** neg_s
+        u = hi3 + t
+        lo3 += (hi3 - u) + t if hi3 >= t else (t - u) + hi3
+        hi3 = u
+    x1, x3 = _EM_HEAD + 0.25, _EM_HEAD + 0.75
+    acc1 = x1 ** (1.0 - s) / (s - 1.0) + 0.5 * x1 ** neg_s
+    acc3 = x3 ** (1.0 - s) / (s - 1.0) + 0.5 * x3 ** neg_s
+    p1, p3 = x1 ** (neg_s - 1.0), x3 ** (neg_s - 1.0)
+    inv1, inv3 = 1.0 / (x1 * x1), 1.0 / (x3 * x3)
+    coefs = _em_coefficients()
+    rising = s
+    for k in range(1, _EM_DEPTH + 1):
+        c = coefs[k - 1] * rising
+        acc1 += c * p1
+        acc3 += c * p3
+        rising *= (s + 2 * k - 1) * (s + 2 * k)
+        p1 *= inv1
+        p3 *= inv3
+    c = coefs[_EM_DEPTH] * rising
+    v1, v3 = hi1 + lo1 + acc1, hi3 + lo3 + acc3
+    scale = 4.0 ** neg_s
+    value = scale * (v1 - v3)
+    bound = scale * ((abs(c * p1) + _ULPS * abs(v1)) + (abs(c * p3) + _ULPS * abs(v3)))  # two hurwitz_zeta bounds
+    return EvalResult(value, 2 * (_EM_HEAD + _EM_DEPTH), bound + _ULPS * abs(value))
 
 
 def catalan() -> EvalResult:

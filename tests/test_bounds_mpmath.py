@@ -155,6 +155,20 @@ def test_beta_bound_where_four_to_the_s_overflows(s):
         assert abs(mp.mpf(res.value) - _beta(mp.mpf(s))) <= mp.mpf(res.error_bound)
 
 
+def test_beta_bound_over_its_whole_domain():
+    # s - 1 drawn log-uniformly over [2^-45, 511], plus s = 1 + 2^-k down to
+    # the float next to 1: each Hurwitz zeta there is near 1/(s - 1), so 40
+    # digits keep over 80 bits after the difference cancels
+    rng = random.Random(36)
+    lo, hi = math.log(2.0 ** -45), math.log(511.0)
+    grid = [1.0 + math.exp(rng.uniform(lo, hi)) for _ in range(150)]
+    grid += [1.0 + 2.0 ** -k for k in range(1, 53)]
+    with mp.workdps(40):
+        for s in grid:
+            res = dirichlet_beta(s)
+            assert abs(mp.mpf(res.value) - _beta(mp.mpf(s))) <= mp.mpf(res.error_bound), s
+
+
 def _excess(m: int):
     """lambda(m) - 1 for even m, where lambda(m) = zeta(m)(1 - 2^-m), and
     beta(m) - 1 for odd m, from Hurwitz zetas so that nothing cancels:

@@ -360,6 +360,31 @@ def test_beta_one_and_domain():
         dirichlet_beta(0.5)
 
 
+def _beta_two_hurwitz_calls(s):
+    """The two-call route that dirichlet_beta's one pass replaced, kept as its reference."""
+    h14 = hurwitz_zeta(s, 0.25)
+    h34 = hurwitz_zeta(s, 0.75)
+    scale = 4.0 ** (-s)
+    value = scale * (h14.value - h34.value)
+    bound = scale * (h14.error_bound + h34.error_bound) + 16 * sys.float_info.epsilon * abs(value)
+    return value, h14.terms_used + h34.terms_used, bound
+
+
+def test_beta_one_pass_equals_two_hurwitz_calls():
+    # where test_power_sum_edges_keep_their_bits does not look: s past 40; the
+    # band where x^(-s-1) is 0.0 at x = 20.75 (from s = 244.712) but not yet at
+    # x = 20.25 (until s = 246.704); s next to the pole; the last s below 512
+    grid = [40.0 + j / 16 for j in range(472 * 16)]
+    grid += [511.99, math.nextafter(512.0, 0.0)]
+    grid += [244.70 + j / 4096 for j in range(round(2.01 * 4096) + 1)]
+    grid += [1.0 + 2.0 ** -k for k in range(1, 53)]
+    for s in grid:
+        got = dirichlet_beta(s)
+        want = _beta_two_hurwitz_calls(s)
+        assert (got.value.hex(), got.terms_used, got.error_bound.hex()) == (
+            want[0].hex(), want[1], want[2].hex()), s
+
+
 def test_beta_four_vs_oracle():
     assert abs(dirichlet_beta(4.0).value - beta4_oracle()) <= 1e-13
 
