@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import accumulate, islice
 from typing import Callable, Iterator, Optional
 
-from .exact import check_int, pi_poly, zigzag
+from .exact import check_int, pi_poly, pi_ratio
 from .specfun import (
     EvalResult,
     ZETA2,
@@ -335,39 +335,15 @@ def _binom_family(id: str, paper_eq: str, description: str, *, top_offset: int, 
                               term_fn=term_fn, scan_fn=scan_fn, **fields)
 
 
-# lambda(m)/pi^m for even m (lambda(m) = zeta(m)(1 - 2^-m)) and beta(m)/pi^m
-# for odd m (beta(1) = pi/4) are both A_(m-1) / (2^(m+1) (m-1)!), A the zigzag
-# numbers, so each family closed form below is a sum of num/den * pi^power
-# over integer pairs.  Each is exact.pi_poly's sum written out: the powers in
-# ascending order, with its leading 0.0 + x dropped (x is never -0.0, so
-# 0.0 + x is x), and math.pi ** 0 = 1.0 dropped from the power-0 term.
-# _factorial keeps k! for each k read, k <= 2 * PARAM_CAP + 1.
+def _pi_term(m: int, mult: int) -> float:
+    """mult/m times lambda(m) (even m) or beta(m) (odd m), from exact.pi_ratio(m).
 
-_factorial = lru_cache(maxsize=None)(math.factorial)
-
-
-def _thm21_closed(m: int) -> float:
-    if m % 2 == 1:
-        return 1 / m
-    return -1 / m + zigzag(m - 1) / (_factorial(m) << m) * math.pi ** m
-
-
-def _thm29_closed(m: int) -> float:
-    sign = 1 if m % 2 == 0 else -1
-    return -sign / m + sign * zigzag(m - 1) / (_factorial(m) << (m + 1)) * math.pi ** m
-
-
-def _sum28_closed(k: int, corrected: bool) -> float:
-    tail = (1 if corrected else -1) / (2 * k * (2 * k - 1))
-    return tail + zigzag(2 * k - 1) / (_factorial(2 * k) << 2 * k) * math.pi ** (2 * k)
-
-
-def _sum37_closed(k: int) -> float:
-    return zigzag(2 * k - 1) / (_factorial(2 * k) << (2 * k + 1)) * math.pi ** (2 * k)
-
-
-def _sum38_closed(k: int) -> float:
-    return zigzag(2 * k) / (_factorial(2 * k + 1) << (2 * k + 2)) * math.pi ** (2 * k + 1)
+    A family closed form adds it to its rational part: exact.pi_poly's sum
+    written out, less its leading 0.0 + (no term is -0.0, so 0.0 + x is x)
+    and the power-0 term's factor math.pi ** 0 = 1.0.  A sign in mult is exact.
+    """
+    num, den = pi_ratio(m)
+    return num * mult / (den * m) * math.pi ** m
 
 
 def _apery_term(_param: int | None, n: int) -> float:
@@ -505,7 +481,7 @@ def _build_registry() -> dict[str, IdentityDescriptor]:
         "sum_{n>=1} zeta(2n) C(2n, m)/(n 4^n) = 1/m (m odd), (2 zeta(m)(1 - 2^-m) - 1)/m (m even)",
         param_name="m", param_min=1, param_domain="integer m >= 1",
         top_offset=0, choose=lambda m: m, inv_pow=4, weighted=False,
-        closed_fn=_thm21_closed,
+        closed_fn=lambda m: 1 / m if m % 2 else -1 / m + _pi_term(m, 2),
     ))
 
     entries.append(_scalar_entry(
@@ -551,8 +527,8 @@ def _build_registry() -> dict[str, IdentityDescriptor]:
         " (published with a minus sign on the last term)",
         param_name="k", param_min=1, param_domain="integer k >= 1",
         top_offset=1, choose=lambda k: 2 * k, inv_pow=4, weighted=False,
-        closed_fn=lambda k: _sum28_closed(k, corrected=True),
-        printed_closed_fn=lambda k: _sum28_closed(k, corrected=False),
+        closed_fn=lambda k: 1 / (2 * k * (2 * k - 1)) + _pi_term(2 * k, 2),
+        printed_closed_fn=lambda k: -1 / (2 * k * (2 * k - 1)) + _pi_term(2 * k, 2),
     ))
 
     entries.append(_binom_family(
@@ -561,7 +537,7 @@ def _build_registry() -> dict[str, IdentityDescriptor]:
         " (zeta(m)(1 - 2^-m) - 1)/m (m even)",
         param_name="m", param_min=1, param_domain="integer m >= 1",
         top_offset=0, choose=lambda m: m, inv_pow=16, weighted=False,
-        closed_fn=_thm29_closed,
+        closed_fn=lambda m: 1 / m + _pi_term(m, -1) if m % 2 else -1 / m + _pi_term(m, 1),
     ))
 
     entries.append(_scalar_entry(
@@ -613,7 +589,7 @@ def _build_registry() -> dict[str, IdentityDescriptor]:
         "sum_{n>=1} zeta(2n)(1 - 4^-n) C(2n, 2k)/(n 4^n) = zeta(2k)(1 - 4^-k)/(2k)",
         param_name="k", param_min=1, param_domain="integer k >= 1",
         top_offset=0, choose=lambda k: 2 * k, inv_pow=4, weighted=True,
-        closed_fn=_sum37_closed,
+        closed_fn=lambda k: _pi_term(2 * k, 1),
     ))
     entries.append(_binom_family(
         "SUM_38", "Eq. (38)",
@@ -621,7 +597,7 @@ def _build_registry() -> dict[str, IdentityDescriptor]:
         " pi/4 weight at k = 0",
         param_name="k", param_min=0, param_domain="integer k >= 0",
         top_offset=0, choose=lambda k: 2 * k + 1, inv_pow=4, weighted=True,
-        closed_fn=_sum38_closed,
+        closed_fn=lambda k: _pi_term(2 * k + 1, 1),
     ))
 
     return {e.id: e for e in entries}

@@ -4,12 +4,13 @@ coefficients of tan/cot/sec/csc, and pi-power closed forms.
 Exactness is one integer table, the zigzag numbers A_k = 1, 1, 1, 2, 5, 16,
 61, 272, ... of sec x + tan x = sum A_k x^k/k! (Andre), grown one
 Seidel-Entringer boustrophedon row per number.  Every coefficient is A_k/k!
-times a small factor: tan and sec at x^k are A_k/k!; cot is
--A_k/((2^(k+1) - 1) k!), and 1 at k = -1; csc is cot times 2^-k - 1;
-B_2n = (-1)^(n-1) 2n A_(2n-1)/(4^n (4^n - 1)) and E_2n = (-1)^n A_2n.
-zeta(2n), beta(2n+1) and zeta_E(2k) are read off cot and sec, so each of
-their floats is one correctly rounded integer quotient times a power of pi,
-which pi_poly evaluates; PI_ERR is how far math.pi falls short of pi.
+times a small factor: B_2n = (-1)^(n-1) 2n A_(2n-1)/(4^n (4^n - 1)),
+E_2n = (-1)^n A_2n, and pi_ratio(m) = A_(m-1)/(2^(m+1) (m-1)!), which is
+lambda(m)/pi^m = zeta(m) (1 - 2^-m)/pi^m for even m and beta(m)/pi^m for
+odd m.  zeta(2n), beta(2n+1) and zeta_E(2k), here and in specfun and
+catalog, are read off pi_ratio, so each of their floats is one correctly
+rounded integer quotient times a power of pi, which pi_poly evaluates;
+PI_ERR is how far math.pi falls short of pi.
 `fractions.Fraction` appears only at the API boundary: the functions that
 return one import it when called.  check_int, the package's one rule that an
 integer argument is an int and not a bool, lives here because specfun,
@@ -43,6 +44,7 @@ __all__ = [
     "bernoulli_pair",
     "bernoulli",
     "euler_number",
+    "pi_ratio",
     "zeta_even_exact",
     "beta_odd_exact",
     "zeta_e_exact",
@@ -113,6 +115,8 @@ class LaurentCoeff(namedtuple("LaurentCoeff", "value exponent")):
 
 def binomial(n: int, k: int) -> int:
     """C(n, k) as an exact integer; 0 when k > n."""
+    check_int("n", n)
+    check_int("k", k)
     if n < 0 or k < 0:
         raise ValueError("binomial requires n, k >= 0")
     return math.comb(n, k)
@@ -131,6 +135,7 @@ def zigzag(k: int) -> int:
     Boustrophedon row n is the running sums, from 0, of row n - 1 read
     backwards; its last entry is A_n.
     """
+    check_int("k", k)
     if k < 0:
         raise ValueError("zigzag requires k >= 0")
     if k >= len(_zigzag):
@@ -145,6 +150,7 @@ def zigzag(k: int) -> int:
 @lru_cache(maxsize=None)
 def bernoulli_pair(n: int) -> tuple[int, int]:
     """B_n (B_1 = -1/2) as (numerator, denominator) in lowest terms.  Memoised."""
+    check_int("n", n)
     if n < 0:
         raise ValueError("bernoulli requires n >= 0")
     if n < 2:
@@ -161,11 +167,13 @@ def bernoulli(n: int) -> Fraction:
     """Exact Bernoulli number B_n (B_1 = -1/2)."""
     from fractions import Fraction
 
+    check_int("n", n)
     return Fraction(*bernoulli_pair(n))
 
 
 def euler_number(n: int) -> int:
     """Exact Euler number E_n (secant numbers): E_2m = (-1)^m A_2m, odd E_n = 0."""
+    check_int("n", n)
     if n < 0:
         raise ValueError("euler_number requires n >= 0")
     if n % 2 == 1:
@@ -186,6 +194,7 @@ def taylor_coeff(function_id: str, k: int) -> LaurentCoeff:
     """
     from fractions import Fraction
 
+    check_int("k", k)
     if function_id not in TRIG_FUNCTIONS:
         raise ValueError(f"unknown function id {function_id!r}")
     if k < -1:
@@ -205,24 +214,34 @@ def taylor_coeff(function_id: str, k: int) -> LaurentCoeff:
     return LaurentCoeff(value, k)
 
 
-def zeta_even_exact(n: int) -> PiPower:
-    """zeta(2n) as an exact rational multiple of pi**(2n), n >= 1.
+@lru_cache(maxsize=None)
+def pi_ratio(m: int) -> tuple[int, int]:
+    """(A_(m-1), 2^(m+1) (m-1)!) for m >= 1, unreduced.  Memoised; no float or bool hits an int's entry."""
+    check_int("m", m)
+    if m < 1:
+        raise ValueError("pi_ratio requires m >= 1")
+    return zigzag(m - 1), math.factorial(m - 1) << (m + 1)
 
-    Read off pi x cot(pi x) = 1 - 2 sum_{n>=1} zeta(2n) x^(2n).
-    """
+
+def zeta_even_exact(n: int) -> PiPower:
+    """zeta(2n) as an exact rational multiple of pi**(2n), n >= 1: lambda(2n) 4^n/(4^n - 1)."""
+    from fractions import Fraction
+
+    check_int("n", n)
     if n < 1:
         raise ValueError("zeta_even_exact requires n >= 1")
-    return PiPower(-taylor_coeff("cot", 2 * n - 1).value / 2, 2 * n)
+    num, den = pi_ratio(2 * n)
+    return PiPower(Fraction(num << 2 * n, den * ((1 << 2 * n) - 1)), 2 * n)
 
 
 def beta_odd_exact(n: int) -> PiPower:
-    """beta(2n+1) as an exact rational multiple of pi**(2n+1), n >= 0.
+    """beta(2n+1) as an exact rational multiple of pi**(2n+1), n >= 0."""
+    from fractions import Fraction
 
-    Read off (pi/4) sec(pi x/2) = sum_{n>=0} beta(2n+1) x^(2n).
-    """
+    check_int("n", n)
     if n < 0:
         raise ValueError("beta_odd_exact requires n >= 0")
-    return PiPower(taylor_coeff("sec", 2 * n).value / 4 ** (n + 1), 2 * n + 1)
+    return PiPower(Fraction(*pi_ratio(2 * n + 1)), 2 * n + 1)
 
 
 def zeta_e_exact(k: int) -> PiPower:
@@ -231,6 +250,7 @@ def zeta_e_exact(k: int) -> PiPower:
     zeta_E(2k) (1 - 4^-k) = beta(2k+1).  k = 0 is rejected: the 1 - 4^-k
     factor vanishes there (zeta_e_weighted(0) is beta(1) = pi/4).
     """
+    check_int("k", k)
     if k < 1:
         raise ValueError("zeta_e_exact requires k >= 1 (k = 0 is singular)")
     return PiPower(beta_odd_exact(k).coeff * 4 ** k / (4 ** k - 1), 2 * k + 1)

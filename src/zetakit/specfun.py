@@ -16,7 +16,7 @@ import sys
 from collections import namedtuple
 from functools import lru_cache
 
-from .exact import PI_ERR, PI_REL_ERR, bernoulli_pair, check_int, pi_poly, zigzag
+from .exact import PI_ERR, PI_REL_ERR, bernoulli_pair, check_int, pi_poly, pi_ratio
 
 __all__ = [
     "EvalResult",
@@ -339,8 +339,8 @@ def polygamma(order: int, z: float) -> EvalResult:
 def zeta_e_weighted(k: int) -> EvalResult:
     """zeta_E(2k) (1 - 4^-k) = beta(2k+1) for k >= 0; pi/4 at k = 0.
 
-    For 1 <= k <= 308 it is the exact A_2k / ((2k)! 4 (4^k - 1)), A the
-    zigzag numbers, times math.pi**(2k+1) (1 - 4^-k); the bound charges 2k+1
+    For 1 <= k <= 308 it is the exact zeta_E(2k)/pi^(2k+1), exact.pi_ratio(2k+1)
+    times 4^k/(4^k - 1), times math.pi**(2k+1) (1 - 4^-k); the bound charges 2k+1
     times math.pi's relative error, and 4 eps for pow and four roundings.
     Otherwise it is dirichlet_beta(2k+1): pi/4, or 1.0 once that coefficient
     turns subnormal.
@@ -350,8 +350,8 @@ def zeta_e_weighted(k: int) -> EvalResult:
         raise ValueError("zeta_e_weighted requires k >= 0")
     if k == 0 or k > 308:
         return dirichlet_beta(2.0 * k + 1.0)
-    zeta_e = pi_poly({2 * k + 1: (zigzag(2 * k), math.factorial(2 * k) * 4 * (4 ** k - 1))})
-    value = zeta_e * (1.0 - 4.0 ** (-k))
+    num, den = pi_ratio(2 * k + 1)
+    value = pi_poly({2 * k + 1: (num << 2 * k, den * ((1 << 2 * k) - 1))}) * (1.0 - 4.0 ** (-k))
     rounding = (2 * k + 1) * PI_REL_ERR + 4 * sys.float_info.epsilon
     return EvalResult(value, 0, max(_ULPS, rounding) * abs(value))
 
@@ -369,9 +369,9 @@ ZETA_EVEN_LEN = 31
 @lru_cache(maxsize=None)
 def zeta_even_table() -> tuple[float, ...]:
     """zeta(0) = -1/2, zeta(2), ..., zeta(2 ZETA_EVEN_LEN - 2) as floats, built on first use;
-    entry n is the pi_poly of the exact A_(2n-1) / (2 (4^n - 1) (2n-1)!), A the zigzag numbers."""
-    return (-0.5, *(pi_poly({2 * n: (zigzag(2 * n - 1), 2 * (4 ** n - 1) * math.factorial(2 * n - 1))})
-                    for n in range(1, ZETA_EVEN_LEN)))
+    entry n is the pi_poly of the exact zeta(2n)/pi^(2n), exact.pi_ratio(2n) times 4^n/(4^n - 1)."""
+    return (-0.5, *(pi_poly({m: (num << m, den * ((1 << m) - 1))})
+                    for m in range(2, 2 * ZETA_EVEN_LEN, 2) for num, den in [pi_ratio(m)]))
 
 
 def zeta_even_float(n: int) -> float:

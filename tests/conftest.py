@@ -1,7 +1,8 @@
 """Textbook Bernoulli and Euler references, independent of zetakit.exact.
 
 They are built once per session up to index 512, every index the catalogue
-reaches at PARAM_CAP = 256, and shared by the exact and catalogue tests.
+reaches at PARAM_CAP = 256, and shared by the exact and catalogue tests, as
+are the lambda/beta rationals built from them.
 """
 
 import math
@@ -45,3 +46,18 @@ def bernoulli_ref():
 def euler_ref():
     """E_0 ... E_512."""
     return sech_series_euler(REF_TOP)
+
+
+@pytest.fixture(scope="session")
+def lambda_beta_ref(bernoulli_ref, euler_ref):
+    """[None, r_1, ..., r_513]: r_m = lambda(m)/pi^m = zeta(m)(1 - 2^-m)/pi^m for
+    even m, from B_m, and r_m = beta(m)/pi^m for odd m, from E_(m-1)."""
+    out = [None]
+    for m in range(1, REF_TOP + 2):
+        if m % 2 == 0:
+            zeta = (-1) ** (m // 2 + 1) * bernoulli_ref[m] * Fraction(2 ** (m - 1), math.factorial(m))
+            out.append(zeta * (1 - Fraction(1, 2 ** m)))
+        else:
+            j = (m - 1) // 2
+            out.append(Fraction((-1) ** j * euler_ref[2 * j], 4 ** (j + 1) * math.factorial(2 * j)))
+    return out

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetakit import catalog
+from zetakit import catalog, exact
 from zetakit.catalog import CatalogKey
 from zetakit.specfun import riemann_zeta
 
@@ -117,7 +117,7 @@ def test_closed_form_internal_consistency_exact():
 # The closed forms as pi polynomials with Fraction coefficients, built from the
 # textbook Bernoulli and Euler references and summed as float(coeff) * pi**power
 # in ascending power order.  The catalogue builds the same coefficients from
-# the zigzag table as integer quotients; every float must agree bit for bit.
+# exact.pi_ratio as integer quotients; every float must agree bit for bit.
 
 def _fraction_pi_poly(coeffs):
     acc = 0.0
@@ -126,20 +126,9 @@ def _fraction_pi_poly(coeffs):
     return acc
 
 
-def _lambda_beta(m, bern, euler):
-    # lambda(m)/pi^m = zeta(m)(1 - 2^-m)/pi^m for even m, beta(m)/pi^m for odd m
-    if m % 2 == 0:
-        zeta = (-1) ** (m // 2 + 1) * bern[m] * Fraction(2 ** (m - 1), math.factorial(m))
-        return zeta * (1 - Fraction(1, 2 ** m))
-    j = (m - 1) // 2
-    return Fraction((-1) ** j * euler[2 * j], 4 ** (j + 1) * math.factorial(2 * j))
-
-
-def _fraction_closed_forms(bern, euler):
-    """{(id, param, printed): coefficient map} for every pi-polynomial closed form."""
-    def lb(m):
-        return _lambda_beta(m, bern, euler)
-
+def _fraction_closed_forms(lb):
+    """{(id, param, printed): coefficient map} for every pi-polynomial closed form;
+    lb[m] is lambda(m)/pi^m for even m and beta(m)/pi^m for odd m."""
     maps = {
         ("SUM_23", None, False): {0: Fraction(1, 2)},
         ("SUM_24", None, False): {0: Fraction(1)},
@@ -156,19 +145,20 @@ def _fraction_closed_forms(bern, euler):
     for p in range(1, catalog.PARAM_CAP + 1):
         sign = 1 if p % 2 == 0 else -1
         maps["THM_21", p, False] = ({0: Fraction(1, p)} if p % 2 else
-                                    {0: -Fraction(1, p), p: 2 * lb(p) / p})
-        maps["THM_29", p, False] = {0: -sign * Fraction(1, p), p: sign * lb(p) / p}
+                                    {0: -Fraction(1, p), p: 2 * lb[p] / p})
+        maps["THM_29", p, False] = {0: -sign * Fraction(1, p), p: sign * lb[p] / p}
         tail = Fraction(1, 2 * p * (2 * p - 1))
-        maps["SUM_28", p, False] = {0: tail, 2 * p: lb(2 * p) / p}
-        maps["SUM_28", p, True] = {0: -tail, 2 * p: lb(2 * p) / p}
-        maps["SUM_37", p, False] = {2 * p: lb(2 * p) / (2 * p)}
+        maps["SUM_28", p, False] = {0: tail, 2 * p: lb[2 * p] / p}
+        maps["SUM_28", p, True] = {0: -tail, 2 * p: lb[2 * p] / p}
+        maps["SUM_37", p, False] = {2 * p: lb[2 * p] / (2 * p)}
     for k in range(0, catalog.PARAM_CAP + 1):
-        maps["SUM_38", k, False] = {2 * k + 1: lb(2 * k + 1) / (2 * k + 1)}
+        maps["SUM_38", k, False] = {2 * k + 1: lb[2 * k + 1] / (2 * k + 1)}
     return maps
 
 
-def test_closed_forms_match_the_fraction_route_bit_for_bit(bernoulli_ref, euler_ref):
-    maps = _fraction_closed_forms(bernoulli_ref, euler_ref)
+def test_closed_forms_match_the_fraction_route_bit_for_bit(lambda_beta_ref):
+    exact.pi_ratio.cache_clear()
+    maps = _fraction_closed_forms(lambda_beta_ref)
     for (id_, param, printed), coeffs in maps.items():
         key = CatalogKey(id_, param)
         got = catalog.printed_closed_form(key) if printed else catalog.closed_form(key)
@@ -177,8 +167,8 @@ def test_closed_forms_match_the_fraction_route_bit_for_bit(bernoulli_ref, euler_
     for id_ in FAMILY_IDS:
         entry = catalog.get(id_)
         assert {p for i, p, _ in maps if i == id_} == set(range(entry.param_min, catalog.PARAM_CAP + 1))
-    # the closed forms keep k! only for the k they read, k <= 2 * PARAM_CAP + 1
-    assert catalog._factorial.cache_info().currsize <= 2 * catalog.PARAM_CAP + 2
+    # the closed forms read exact.pi_ratio at exactly m = 1 .. 2 * PARAM_CAP + 1
+    assert exact.pi_ratio.cache_info().currsize == 2 * catalog.PARAM_CAP + 1
 
 
 def test_printed_variants():

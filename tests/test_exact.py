@@ -18,6 +18,7 @@ from zetakit.exact import (
     binomial,
     euler_number,
     pi_poly,
+    pi_ratio,
     taylor_coeff,
     zeta_e_exact,
     zeta_even_exact,
@@ -199,6 +200,40 @@ def test_numeric_is_the_rounded_coefficient_times_the_power():
             c = f(n)
             assert c.numeric() == float(c.coeff) * math.pi ** c.power, (f.__name__, n)
     assert pi_poly({3: (-1, 32), 0: (1, 1)}) == 1.0 + -1 / 32 * math.pi ** 3  # ascending order
+
+
+def test_pi_ratio_matches_the_textbook_lambda_beta(lambda_beta_ref):
+    # every m the family closed forms read at PARAM_CAP = 256
+    for m in range(1, 514):
+        assert Fraction(*pi_ratio(m)) == lambda_beta_ref[m], m
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="^pi_ratio requires m >= 1$"):
+            pi_ratio(m)
+
+
+# --- integer arguments ----------------------------------------------------------
+
+_INT_TAKERS = {  # test id: (a call of one argument, that argument's name)
+    "binomial_n": (lambda v: binomial(v, 1), "n"),
+    "binomial_k": (lambda v: binomial(3, v), "k"),
+    "zigzag": (zigzag, "k"),
+    "bernoulli_pair": (bernoulli_pair, "n"),
+    "bernoulli": (bernoulli, "n"),
+    "euler_number": (euler_number, "n"),
+    "taylor_coeff": (lambda v: taylor_coeff("tan", v), "k"),
+    "zeta_even_exact": (zeta_even_exact, "n"),
+    "beta_odd_exact": (beta_odd_exact, "n"),
+    "zeta_e_exact": (zeta_e_exact, "k"),
+    "pi_ratio": (pi_ratio, "m"),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, 1.5], ids=repr)
+@pytest.mark.parametrize("call, name", _INT_TAKERS.values(), ids=_INT_TAKERS)
+def test_integer_arguments_must_be_ints(call, name, bad):
+    call(round(bad))  # a memoised entry at the same int must not let bad through
+    with pytest.raises(ValueError, match=f"^{name} must be an int, not {bad!r}$"):
+        call(bad)
 
 
 # --- pi and its float math.pi ---------------------------------------------------
